@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -37,7 +38,6 @@ from .matmul import (
 )
 from .errors import (
     BudgetTooSmall,
-    InvalidEpsilon,
     InvalidSupport,
     ParseError,
     QStackerError,
@@ -51,7 +51,7 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_VERIFY = 4
 
-_USAGE_ERRORS = (BudgetTooSmall, InvalidEpsilon, InvalidSupport, ValueError)
+_USAGE_ERRORS = (BudgetTooSmall, InvalidSupport, ValueError)
 
 
 def _default_seed() -> int:
@@ -61,11 +61,6 @@ def _default_seed() -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="master seed (default: $AQ_SEED or 0)")
     p.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    p.add_argument("--threads", type=int, default=1, help="worker cap, 0 = auto")
-
-
-def _threads(value: int) -> int:
-    return (os.cpu_count() or 1) if value == 0 else max(1, value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, type=Path)
     p.add_argument("--b", required=True, type=Path)
     p.add_argument("--shots", type=int, default=16384)
-    p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--pattern", choices=[m.value for m in stacking.StackingPattern], default="batch")
     p.add_argument("--budget", type=int, default=None, help="qubit budget")
     p.add_argument("--exact", action="store_true", help="skip sampling, analytic overlaps")
@@ -122,12 +116,10 @@ def cmd_matmul(args) -> int:
     b = matio.read_matrix(args.b)
     cfg = MatMulConfig(
         shots=args.shots,
-        epsilon=args.epsilon,
         pattern=stacking.StackingPattern(args.pattern),
         seed=args.seed if args.seed is not None else _default_seed(),
         exact=args.exact,
         qubit_budget=args.budget,
-        max_workers=_threads(args.threads),
     )
     result = run_matmul(a, b, cfg)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -188,11 +180,7 @@ def cmd_train(args) -> int:
     raw = nn.parse_train_config(args.config)
     cfg = nn.train_config_from_dict(raw)
     if args.seed is not None:
-        cfg = nn.TrainConfig(
-            shape=cfg.shape, batch_size=cfg.batch_size, learning_rate=cfg.learning_rate,
-            epochs=cfg.epochs, shots=cfg.shots, seed=args.seed,
-            forward_mode=cfg.forward_mode, exact=cfg.exact,
-        )
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     if "dataset" in raw:
         data = nn.ingest_iris(raw["dataset"], split_seed=int(raw.get("split_seed", 1234)))
     elif "mnist_images" in raw and "mnist_labels" in raw:

@@ -1,15 +1,16 @@
 """Three-stage matrix multiplication through Hadamard-test estimation.
 
-Stage 1 encodes the rows of A and columns of B once each (memoized cache)
-and records their Euclidean norms. Stage 2 dispatches one estimation job per
-output element through a stacking plan; element (i, j) gets its own seed
-derived from (master seed, i, j), so results are independent of the layout.
-Stage 3 reconstructs C_ij = ||A_i|| * ||B_j|| * z_hat_ij.
+Stage 1 encodes the rows of A and columns of B once each and records their
+Euclidean norms. Stage 2 dispatches one estimation job per output element
+through a stacking plan; element (i, j) gets its own seed derived from
+(master seed, i, j), so results are independent of the layout. Stage 3
+reconstructs C_ij = ||A_i|| * ||B_j|| * z_hat_ij.
 
 Elements whose row or column norm is zero are written as exact zeros with no
-job dispatched. In exact mode the sampler is bypassed and z_hat is the
-analytic overlap, giving the classical product up to rounding; this is the
-oracle the training harness uses for classical forward passes.
+job dispatched. Exact mode skips the sampler: it normalizes A's rows and B's
+columns and takes every overlap from one matrix product, giving the classical
+product up to rounding; this is the oracle the training harness uses for
+classical forward passes.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidEpsilon, ShapeMismatch
-from .hadamard import HadamardJob, OverlapEstimate, analytic_overlap, estimate
+from .errors import ShapeMismatch
+from .hadamard import HadamardJob, analytic_overlap, estimate
 from .seeding import derive_seed
 from .stacking import StackingPattern, StackingPlan, execute_plan, plan_jobs
-from .vectors import PrepCache, as_matrix, as_vector, col_norms, prepare_all, row_norms
+from .vectors import as_matrix, as_vector, col_norms, prepare_all, row_norms
 
 UNBOUNDED_BUDGET = 1 << 40  # wide enough that no realistic plan ever splits
 
@@ -36,24 +37,21 @@ def _budget(cfg) -> int:
 @dataclass(frozen=True)
 class MatMulConfig:
     shots: int = 16384
-    epsilon: float = 0.1  # advisory, reporting only; shots are authoritative
     pattern: StackingPattern = StackingPattern.BATCH
     seed: int = 0
     exact: bool = False
     qubit_budget: int | None = None
-    max_workers: int = 1
 
     def __post_init__(self):
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
-        if not (0.0 < self.epsilon < 1.0):
-            raise InvalidEpsilon(f"epsilon must be in (0, 1), got {self.epsilon}")
 
 
 @dataclass
 class MatMulResult:
     c: np.ndarray
-    estimates: list  # estimates[i][j] is an OverlapEstimate or None (no job)
+    z_hat: np.ndarray  # overlap estimate per element, 0.0 where a norm is zero
+    true_overlap: np.ndarray  # exact overlap per element (z_hat itself in exact mode)
     plan_used: StackingPlan
     cache_hits: int
     cache_misses: int
@@ -63,49 +61,42 @@ class MatMulResult:
     norm_products: np.ndarray = field(repr=False, default=None)
 
 
-def matmul(a, b, cfg: MatMulConfig, cache: PrepCache | None = None) -> MatMulResult:
+def matmul(a, b, cfg: MatMulConfig) -> MatMulResult:
     am = as_matrix(a)
     bm = as_matrix(b)
     if am.shape[1] != bm.shape[0]:
         raise ShapeMismatch(f"cannot multiply {am.shape} by {bm.shape}")
     rows, cols = am.shape[0], bm.shape[1]
     dim = am.shape[1]
-
-    cache = prepare_all(am, bm, cache)
     a_norms = row_norms(am)
     b_norms = col_norms(bm)
-
-    c = np.zeros((rows, cols))
-    estimates = [[None] * cols for _ in range(rows)]
     norm_products = np.outer(a_norms, b_norms)
 
-    live = [
-        (i, j)
-        for i in range(rows)
-        for j in range(cols)
-        if a_norms[i] != 0.0 and b_norms[j] != 0.0
-    ]
-
     if cfg.exact:
-        for i, j in live:
-            mu = analytic_overlap(cache.get_row(am, i), cache.get_col(bm, j))
-            estimates[i][j] = OverlapEstimate(
-                z_hat=mu, true_overlap=mu, variance_theoretical=0.0
-            )
-            c[i, j] = norm_products[i, j] * mu
-        the_plan = plan_jobs(0, cols, dim, cfg.pattern, _budget(cfg))
+        # a row or column of zero norm becomes zero, so its overlaps are exact zeros
+        a_hat = np.divide(am, a_norms[:, None], out=np.zeros_like(am), where=a_norms[:, None] != 0.0)
+        b_hat = np.divide(bm, b_norms, out=np.zeros_like(bm), where=b_norms != 0.0)
+        mu = np.clip(a_hat @ b_hat, -1.0, 1.0)
         return MatMulResult(
-            c=c,
-            estimates=estimates,
-            plan_used=the_plan,
-            cache_hits=cache.hits,
-            cache_misses=cache.misses,
+            c=norm_products * mu,
+            z_hat=mu,
+            true_overlap=mu,
+            plan_used=plan_jobs(0, cols, dim, cfg.pattern, _budget(cfg)),
+            cache_hits=0,
+            cache_misses=rows + cols,
             job_count=0,
             shots=cfg.shots,
             exact=True,
             norm_products=norm_products,
         )
 
+    cache = prepare_all(am, bm)
+    live = [
+        (i, j)
+        for i in range(rows)
+        for j in range(cols)
+        if a_norms[i] != 0.0 and b_norms[j] != 0.0
+    ]
     jobs = [
         HadamardJob(
             psi=cache.get_row(am, i),
@@ -116,15 +107,17 @@ def matmul(a, b, cfg: MatMulConfig, cache: PrepCache | None = None) -> MatMulRes
         for i, j in live
     ]
     the_plan = plan_jobs(len(jobs), cols, dim, cfg.pattern, _budget(cfg))
-    results = execute_plan(the_plan, jobs, max_workers=cfg.max_workers)
+    results = execute_plan(the_plan, jobs)
+    z_hat = np.zeros((rows, cols))
+    true_overlap = np.zeros((rows, cols))
     for (i, j), res, job in zip(live, results, jobs):
         mu = analytic_overlap(job.psi, job.phi)
-        est = estimate(res, true_overlap=mu)
-        estimates[i][j] = est
-        c[i, j] = norm_products[i, j] * est.z_hat
+        z_hat[i, j] = estimate(res, true_overlap=mu).z_hat
+        true_overlap[i, j] = mu
     return MatMulResult(
-        c=c,
-        estimates=estimates,
+        c=norm_products * z_hat,
+        z_hat=z_hat,
+        true_overlap=true_overlap,
         plan_used=the_plan,
         cache_hits=cache.hits,
         cache_misses=cache.misses,
@@ -157,19 +150,19 @@ def error_budget(norm_product: float, shots: int, mu: float | None = None) -> fl
 
 
 def write_result_csv(result: MatMulResult, path) -> None:
-    """Per-element dump: i, j, z_hat, c_ij, stderr (plug-in estimate)."""
+    """Per-element dump: i, j, z_hat, c_ij, stderr (plug-in error_budget)."""
+    z = result.z_hat
+    if result.exact:
+        se = np.zeros_like(z)
+    else:
+        se = np.abs(result.norm_products) * np.sqrt(
+            np.maximum(0.0, 1.0 - z * z) / result.shots
+        )
     with open(path, "w") as fh:
         fh.write("i,j,z_hat,c_ij,stderr\n")
-        rows, cols = result.c.shape
-        for i in range(rows):
-            for j in range(cols):
-                est = result.estimates[i][j]
-                z = est.z_hat if est is not None else 0.0
-                if result.exact or est is None:
-                    se = 0.0
-                else:
-                    se = error_budget(float(result.norm_products[i, j]), result.shots, mu=z)
-                fh.write(f"{i},{j},{float(z)!r},{float(result.c[i, j])!r},{float(se)!r}\n")
+        for i, row in enumerate(zip(z.tolist(), result.c.tolist(), se.tolist())):
+            for j, (zv, cv, sv) in enumerate(zip(*row)):
+                fh.write(f"{i},{j},{zv!r},{cv!r},{sv!r}\n")
 
 
 def summary_dict(result: MatMulResult, classical: np.ndarray | None = None) -> dict:

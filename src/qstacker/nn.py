@@ -29,7 +29,6 @@ from .errors import (
 )
 from .matmul import MatMulConfig, matmul
 from .seeding import derive_seed, job_rng
-from .stacking import StackingPattern
 
 CLASSICAL = "classical"
 QUANTUM = "quantum"
@@ -62,7 +61,6 @@ class TrainConfig:
     seed: int = 0
     forward_mode: str = QUANTUM
     exact: bool = False  # quantum exact mode: engine path without sampling
-    pattern: StackingPattern = StackingPattern.BATCH
 
     def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 1:
@@ -119,11 +117,9 @@ def init_model(shape: NetworkShape, seed: int) -> Model:
     )
 
 
-def _layer_cfg(mode: str, exact: bool, shots: int, seed: int, pattern) -> MatMulConfig:
+def _layer_cfg(mode: str, exact: bool, shots: int, seed: int) -> MatMulConfig:
     sampled = mode == QUANTUM and not exact
-    return MatMulConfig(
-        shots=shots, seed=seed, exact=not sampled, pattern=pattern
-    )
+    return MatMulConfig(shots=shots, seed=seed, exact=not sampled)
 
 
 def forward(
@@ -133,7 +129,6 @@ def forward(
     shots: int = 16384,
     seed: int = 0,
     exact: bool = False,
-    pattern: StackingPattern = StackingPattern.BATCH,
 ):
     """Forward pass for a batch.
 
@@ -150,14 +145,14 @@ def forward(
         raise ShapeMismatch(
             f"W2 {model.w2.shape} does not chain with W1 {model.w1.shape}"
         )
-    r1 = matmul(model.w1, xb.T, _layer_cfg(mode, exact, shots, derive_seed(seed, 1), pattern))
+    r1 = matmul(model.w1, xb.T, _layer_cfg(mode, exact, shots, derive_seed(seed, 1)))
     hidden = sigmoid(r1.c)
-    r2 = matmul(model.w2, hidden, _layer_cfg(mode, exact, shots, derive_seed(seed, 2), pattern))
+    r2 = matmul(model.w2, hidden, _layer_cfg(mode, exact, shots, derive_seed(seed, 2)))
     return r2.c, hidden, r1.job_count + r2.job_count
 
 
 def _loss_and_grads(model: Model, xb: np.ndarray, y: np.ndarray,
-                    mode: str, shots: int, seed: int, exact: bool, pattern):
+                    mode: str, shots: int, seed: int, exact: bool):
     """Summed cross-entropy loss and its weight gradients for one mini-batch.
 
     The loss is accumulated (not averaged) over the batch, so the step size
@@ -165,9 +160,7 @@ def _loss_and_grads(model: Model, xb: np.ndarray, y: np.ndarray,
     noisy (quantum mode); the backward pass is plain chain-rule arithmetic
     on whatever the forward produced.
     """
-    logits, hidden, jobs = forward(
-        model, xb, mode=mode, shots=shots, seed=seed, exact=exact, pattern=pattern
-    )
+    logits, hidden, jobs = forward(model, xb, mode=mode, shots=shots, seed=seed, exact=exact)
     batch = xb.shape[0]
     probs = softmax(logits)
     onehot = np.zeros_like(probs)
@@ -232,7 +225,6 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[Model, TrainReport]:
                 cfg.shots,
                 derive_seed(cfg.seed, _TAG_FORWARD, epoch, b),
                 cfg.exact,
-                cfg.pattern,
             )
             model.w1 -= cfg.learning_rate * dw1
             model.w2 -= cfg.learning_rate * dw2

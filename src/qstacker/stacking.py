@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import BudgetTooSmall, InvalidEpsilon, PlanJobMismatch
@@ -57,7 +56,6 @@ class StackingPlan:
     resources: ResourceModel
     cycles: tuple
     degraded: bool
-    depth_estimate: dict = field(default_factory=dict)
 
     @property
     def cycle_count(self) -> int:
@@ -114,16 +112,11 @@ def plan_jobs(
         )
     cap = qubit_budget // q
     cycles, degraded = _layout(list(range(num_jobs)), row_len, pattern, cap)
-    depth = {
-        "cycles": len(cycles),
-        "per_test_shot_cost": "ceil(1/epsilon^2) shots",
-    }
     return StackingPlan(
         pattern=pattern,
         resources=resources,
         cycles=tuple(tuple(g) for g in cycles),
         degraded=degraded,
-        depth_estimate=depth,
     )
 
 
@@ -154,32 +147,21 @@ def complexity_report(p: StackingPlan, epsilon: float) -> dict:
     }
 
 
-def execute_plan(
-    p: StackingPlan, jobs: list, max_workers: int = 1
-) -> list:
+def execute_plan(p: StackingPlan, jobs: list) -> list:
     """Run every cycle group in order; results land in job-id order.
 
-    Jobs within a cycle may run concurrently; seeds are job-derived so the
-    result buffer is identical to running each job alone.
+    Seeds are job-derived, so the result buffer is identical to running
+    each job alone.
     """
     if len(jobs) != p.total_jobs:
         raise PlanJobMismatch(f"plan holds {p.total_jobs} jobs, buffer has {len(jobs)}")
     results: list = [None] * len(jobs)
-
-    def run(job_id: int) -> None:
-        job = jobs[job_id]
-        if not isinstance(job, HadamardJob):
-            raise PlanJobMismatch(f"buffer entry {job_id} is not a HadamardJob")
-        results[job_id] = sample_hadamard(job)
-
-    if max_workers and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            for group in p.cycles:
-                list(pool.map(run, group))
-    else:
-        for group in p.cycles:
-            for job_id in group:
-                run(job_id)
+    for group in p.cycles:
+        for job_id in group:
+            job = jobs[job_id]
+            if not isinstance(job, HadamardJob):
+                raise PlanJobMismatch(f"buffer entry {job_id} is not a HadamardJob")
+            results[job_id] = sample_hadamard(job)
     for job_id, res in enumerate(results):
         if res is None:
             raise PlanJobMismatch(f"job {job_id} missing from plan cycles")

@@ -15,8 +15,6 @@ import numpy as np
 
 from .errors import NonFiniteInput, ShapeMismatch
 
-NORM_TOL = 1e-12  # normalization tolerance, adequate for dims <= 4096
-
 
 def as_vector(v) -> np.ndarray:
     """Validate and return a finite 1-D float64 vector."""

@@ -344,18 +344,16 @@ def test_criterion_14_gradient_check():
         model = init_model(shape, seed=derive_seed(MASTER, 14, trial))
         xb = rng.normal(size=(4, dims[0]))
         yb = rng.integers(0, dims[2], size=4)
-        _, dw1, dw2, _ = _loss_and_grads(
-            model, xb, yb, CLASSICAL, 64, 0, False, StackingPattern.BATCH
-        )
+        _, dw1, dw2, _ = _loss_and_grads(model, xb, yb, CLASSICAL, 64, 0, False)
         h = 1e-6
         for w, dw in ((model.w1, dw1), (model.w2, dw2)):
             num = np.zeros_like(w)
             for idx in np.ndindex(w.shape):
                 orig = w[idx]
                 w[idx] = orig + h
-                lp = _loss_and_grads(model, xb, yb, CLASSICAL, 64, 0, False, StackingPattern.BATCH)[0]
+                lp = _loss_and_grads(model, xb, yb, CLASSICAL, 64, 0, False)[0]
                 w[idx] = orig - h
-                lm = _loss_and_grads(model, xb, yb, CLASSICAL, 64, 0, False, StackingPattern.BATCH)[0]
+                lm = _loss_and_grads(model, xb, yb, CLASSICAL, 64, 0, False)[0]
                 w[idx] = orig
                 num[idx] = (lp - lm) / (2 * h)
             denom = max(float(np.linalg.norm(dw)), float(np.linalg.norm(num)), 1e-300)

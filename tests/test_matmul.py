@@ -42,6 +42,49 @@ class TestExactMode:
             r = matmul(a, b, MatMulConfig(exact=True))
             assert np.abs(r.c - triple_loop(a, b)).max() <= 1e-10
 
+    def test_all_zero_a(self):
+        r = matmul(np.zeros((3, 4)), np.ones((4, 2)), MatMulConfig(exact=True))
+        for arr in (r.c, r.z_hat, r.true_overlap):
+            assert not np.isnan(arr).any()
+            assert np.array_equal(arr, np.zeros((3, 2)))
+
+    def test_zero_rows_and_columns_are_exact_zeros(self):
+        rng = np.random.default_rng(51)
+        a = rng.normal(size=(5, 6))
+        b = rng.normal(size=(6, 4))
+        a[[1, 3]] = 0.0
+        a[4] = 1e-170  # nonzero, but its squared norm underflows to zero
+        b[:, 2] = 0.0
+        r = matmul(a, b, MatMulConfig(exact=True))
+        assert not np.isnan(r.c).any()
+        dead = np.zeros((5, 4), dtype=bool)
+        dead[[1, 3, 4], :] = True
+        dead[:, 2] = True
+        assert np.array_equal(r.c[dead], np.zeros(dead.sum()))
+        assert np.array_equal(r.z_hat[dead], np.zeros(dead.sum()))
+        assert np.abs(r.c - a @ b).max() <= 1e-10
+        assert (r.cache_hits, r.cache_misses) == (0, 5 + 4)
+
+    @pytest.mark.parametrize("shape", [(1, 7, 5), (5, 7, 1), (1, 1, 1), (6, 1, 3)])
+    def test_edge_shapes(self, shape):
+        rows, inner, cols = shape
+        rng = np.random.default_rng(52)
+        a = rng.normal(size=(rows, inner))
+        b = rng.normal(size=(inner, cols))
+        r = matmul(a, b, MatMulConfig(exact=True))
+        assert r.c.shape == r.z_hat.shape == r.true_overlap.shape == (rows, cols)
+        assert np.abs(r.c - triple_loop(a, b)).max() <= 1e-10
+
+    def test_planted_unit_overlaps(self):
+        rng = np.random.default_rng(53)
+        v = rng.normal(size=9)
+        a = np.stack([v, 2.5 * v, rng.normal(size=9)])
+        b = np.stack([v, -3.0 * v], axis=1)
+        r = matmul(a, b, MatMulConfig(exact=True))
+        assert np.abs(r.z_hat[:2]).max() <= 1.0
+        assert np.allclose(r.z_hat[:2], [[1.0, -1.0], [1.0, -1.0]], atol=1e-15)
+        assert np.abs(r.c - a @ b).max() <= 1e-10 * max(1.0, r.norm_products.max())
+
     def test_scale_equivariance(self):
         rng = np.random.default_rng(42)
         a = rng.normal(size=(5, 5))
@@ -118,7 +161,8 @@ class TestZeroNormShortCircuit:
         r = matmul(a, b, MatMulConfig(shots=1024, seed=15))
         assert np.array_equal(r.c[2, :], np.zeros(4))
         assert r.job_count == 16 - 4
-        assert all(est is None for est in r.estimates[2])
+        assert np.array_equal(r.z_hat[2], np.zeros(4))
+        assert np.array_equal(r.true_overlap[2], np.zeros(4))
 
     def test_zero_vector_matvec(self):
         a = np.eye(3)
@@ -205,6 +249,23 @@ class TestSerialization:
         doc = json.loads(json_path.read_text())
         assert doc["job_count"] == 9
         assert doc["max_abs_error"] >= 0.0
+
+    @pytest.mark.parametrize("shots", [1, 1024, 1 << 20])
+    def test_sampled_csv_matches_per_element_reference(self, tmp_path, shots):
+        rng = np.random.default_rng(54)
+        a = rng.normal(size=(4, 5))
+        b = rng.normal(size=(5, 3))
+        a[1] = 0.0
+        b[:, 2] = 0.0
+        r = matmul(a, b, MatMulConfig(shots=shots, seed=29))
+        expected = ["i,j,z_hat,c_ij,stderr"]
+        for i in range(4):
+            for j in range(3):
+                z = float(r.z_hat[i, j])
+                se = error_budget(float(r.norm_products[i, j]), shots, mu=z)
+                expected.append(f"{i},{j},{z!r},{float(r.c[i, j])!r},{se!r}")
+        write_result_csv(r, tmp_path / "matmul.csv")
+        assert (tmp_path / "matmul.csv").read_text() == "\n".join(expected) + "\n"
 
     def test_summary_dict_exact(self):
         r = matmul(np.eye(2), np.eye(2), MatMulConfig(exact=True))

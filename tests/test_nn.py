@@ -30,7 +30,6 @@ from qstacker.nn import (
     split_dataset,
     train_config_from_dict,
 )
-from qstacker.stacking import StackingPattern
 
 
 def tiny_dataset(seed=0, samples=24, dims=4, classes=3):
@@ -98,18 +97,16 @@ class TestGradients:
             model = init_model(shape, seed=trial)
             xb = rng.normal(size=(6, 3))
             y = rng.integers(0, 3, size=6)
-            loss, dw1, dw2, _ = _loss_and_grads(
-                model, xb, y, CLASSICAL, 64, 0, False, StackingPattern.BATCH
-            )
+            loss, dw1, dw2, _ = _loss_and_grads(model, xb, y, CLASSICAL, 64, 0, False)
             h = 1e-6
             for w, dw in ((model.w1, dw1), (model.w2, dw2)):
                 num = np.zeros_like(w)
                 for idx in np.ndindex(w.shape):
                     orig = w[idx]
                     w[idx] = orig + h
-                    lp = _loss_and_grads(model, xb, y, CLASSICAL, 64, 0, False, StackingPattern.BATCH)[0]
+                    lp = _loss_and_grads(model, xb, y, CLASSICAL, 64, 0, False)[0]
                     w[idx] = orig - h
-                    lm = _loss_and_grads(model, xb, y, CLASSICAL, 64, 0, False, StackingPattern.BATCH)[0]
+                    lm = _loss_and_grads(model, xb, y, CLASSICAL, 64, 0, False)[0]
                     w[idx] = orig
                     num[idx] = (lp - lm) / (2 * h)
                 rel = np.linalg.norm(dw - num) / max(np.linalg.norm(dw), np.linalg.norm(num))

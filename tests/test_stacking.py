@@ -149,11 +149,6 @@ class TestExecutePlan:
             buffers.append(execute_plan(p, jobs))
         assert all(buf == buffers[0] for buf in buffers[1:])
 
-    def test_threaded_execution_matches_serial(self):
-        jobs = make_jobs(4, 4, seed=33)
-        p = plan(4, 4, P.VERTICAL, 10**9)
-        assert execute_plan(p, jobs, max_workers=4) == execute_plan(p, jobs)
-
     def test_job_count_mismatch(self):
         jobs = make_jobs(2, 4, seed=34)
         p = plan(3, 4, P.VERTICAL, 10**9)
