@@ -2,10 +2,9 @@
 quantum matmul engine.
 
 The forward pass is hidden = sigmoid(W1 x), logits = W2 hidden, with both
-layer products executed by the matmul orchestrator: exact overlaps in
-classical mode, shot-sampled overlaps in quantum mode. Classical mode and
-quantum exact mode share one code path, so their training trajectories are
-bit-identical at equal seeds. Gradients are always computed classically from
+layer products executed by the matmul orchestrator: exact mode (one
+normalized matrix product) in classical mode, shot-sampled overlaps in
+quantum mode. Gradients are always computed classically from
 the (possibly noisy) forward activations; no biases are used, so the network
 is exactly a pair of matrix products around a sigmoid.
 """
@@ -60,7 +59,6 @@ class TrainConfig:
     shots: int = 16384
     seed: int = 0
     forward_mode: str = QUANTUM
-    exact: bool = False  # quantum exact mode: engine path without sampling
 
     def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 1:
@@ -117,9 +115,8 @@ def init_model(shape: NetworkShape, seed: int) -> Model:
     )
 
 
-def _layer_cfg(mode: str, exact: bool, shots: int, seed: int) -> MatMulConfig:
-    sampled = mode == QUANTUM and not exact
-    return MatMulConfig(shots=shots, seed=seed, exact=not sampled)
+def _layer_cfg(mode: str, shots: int, seed: int) -> MatMulConfig:
+    return MatMulConfig(shots=shots, seed=seed, exact=mode == CLASSICAL)
 
 
 def forward(
@@ -128,7 +125,6 @@ def forward(
     mode: str = CLASSICAL,
     shots: int = 16384,
     seed: int = 0,
-    exact: bool = False,
 ):
     """Forward pass for a batch.
 
@@ -145,14 +141,14 @@ def forward(
         raise ShapeMismatch(
             f"W2 {model.w2.shape} does not chain with W1 {model.w1.shape}"
         )
-    r1 = matmul(model.w1, xb.T, _layer_cfg(mode, exact, shots, derive_seed(seed, 1)))
+    r1 = matmul(model.w1, xb.T, _layer_cfg(mode, shots, derive_seed(seed, 1)))
     hidden = sigmoid(r1.c)
-    r2 = matmul(model.w2, hidden, _layer_cfg(mode, exact, shots, derive_seed(seed, 2)))
+    r2 = matmul(model.w2, hidden, _layer_cfg(mode, shots, derive_seed(seed, 2)))
     return r2.c, hidden, r1.job_count + r2.job_count
 
 
 def _loss_and_grads(model: Model, xb: np.ndarray, y: np.ndarray,
-                    mode: str, shots: int, seed: int, exact: bool):
+                    mode: str, shots: int, seed: int):
     """Summed cross-entropy loss and its weight gradients for one mini-batch.
 
     The loss is accumulated (not averaged) over the batch, so the step size
@@ -160,7 +156,7 @@ def _loss_and_grads(model: Model, xb: np.ndarray, y: np.ndarray,
     noisy (quantum mode); the backward pass is plain chain-rule arithmetic
     on whatever the forward produced.
     """
-    logits, hidden, jobs = forward(model, xb, mode=mode, shots=shots, seed=seed, exact=exact)
+    logits, hidden, jobs = forward(model, xb, mode=mode, shots=shots, seed=seed)
     batch = xb.shape[0]
     probs = softmax(logits)
     onehot = np.zeros_like(probs)
@@ -181,16 +177,13 @@ def evaluate(
     mode: str = CLASSICAL,
     shots: int = 16384,
     seed: int = 0,
-    exact: bool = False,
     indices: np.ndarray | None = None,
 ) -> float:
     """Argmax-logit accuracy on the test split (or explicit indices)."""
     idx = data.test_idx if indices is None else indices
     if len(idx) == 0:
         raise EmptyDataset("no evaluation samples")
-    logits, _, _ = forward(
-        model, data.features[idx], mode=mode, shots=shots, seed=seed, exact=exact
-    )
+    logits, _, _ = forward(model, data.features[idx], mode=mode, shots=shots, seed=seed)
     pred = logits.argmax(axis=0)
     return float(np.mean(pred == data.labels[idx]))
 
@@ -224,7 +217,6 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[Model, TrainReport]:
                 cfg.forward_mode,
                 cfg.shots,
                 derive_seed(cfg.seed, _TAG_FORWARD, epoch, b),
-                cfg.exact,
             )
             model.w1 -= cfg.learning_rate * dw1
             model.w2 -= cfg.learning_rate * dw2
@@ -237,7 +229,6 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[Model, TrainReport]:
                 mode=cfg.forward_mode,
                 shots=cfg.shots,
                 seed=derive_seed(cfg.seed, _TAG_EVAL, epoch),
-                exact=cfg.exact,
             )
             report.quantum_jobs += jobs
             acc = float(np.mean(logits.argmax(axis=0) == data.labels[data.test_idx]))
@@ -253,16 +244,18 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[Model, TrainReport]:
 # dataset ingestion
 
 
+_TRAIN_FRACTION = 0.8  # per class, in the stratified split
+
+
 def split_dataset(
     features: np.ndarray,
     labels: np.ndarray,
     split_seed: int,
-    train_fraction: float = 0.8,
-    stratify: bool = True,
     counts: tuple[int, int] | None = None,
 ) -> Dataset:
-    """Train/test split; stratified by label unless counts are given, in
-    which case the first `counts[0]` samples train and the next test."""
+    """Train/test split; stratified by label (80% of each class trains)
+    unless counts are given, in which case the first `counts[0]` samples
+    train and the next `counts[1]` test."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if len(features) != len(labels) or len(labels) == 0:
@@ -276,21 +269,16 @@ def split_dataset(
             )
         train_idx = np.arange(n_train)
         test_idx = np.arange(n_train, n_train + n_test)
-    elif stratify:
+    else:
         rng = job_rng(split_seed)
         train_parts, test_parts = [], []
         for c in np.unique(labels):
             idx = rng.permutation(np.where(labels == c)[0])
-            k = int(round(len(idx) * train_fraction))
+            k = int(round(len(idx) * _TRAIN_FRACTION))
             train_parts.append(idx[:k])
             test_parts.append(idx[k:])
         train_idx = np.sort(np.concatenate(train_parts))
         test_idx = np.sort(np.concatenate(test_parts))
-    else:
-        idx = job_rng(split_seed).permutation(len(labels))
-        k = int(round(len(labels) * train_fraction))
-        train_idx = np.sort(idx[:k])
-        test_idx = np.sort(idx[k:])
     return Dataset(
         features=features,
         labels=labels,
@@ -384,17 +372,6 @@ def ingest_mnist_idx(
     return images.reshape(images.shape[0], -1), labels
 
 
-def declared_mnist_count(images_path) -> int:
-    """Sample count declared by an IDX image header (no payload check)."""
-    raw = Path(images_path).read_bytes()
-    if len(raw) < 16:
-        raise TruncatedFile(f"{images_path}: missing IDX header")
-    magic, n, _, _ = struct.unpack(">4I", raw[:16])
-    if magic != _IDX_IMAGES_MAGIC:
-        raise MagicMismatch(f"{images_path}: magic 0x{magic:08x}")
-    return n
-
-
 # ---------------------------------------------------------------------------
 # run configuration and report persistence
 
@@ -414,6 +391,8 @@ def parse_train_config(path) -> dict:
 
 
 def train_config_from_dict(raw: dict) -> TrainConfig:
+    if raw.get("exact", "false").lower() in ("1", "true", "yes"):
+        raise ParseError("exact is not a run-file key; mode=classical runs the exact path")
     try:
         shape = tuple(int(tok) for tok in raw["shape"].split(","))
         if len(shape) != 3:
@@ -426,7 +405,6 @@ def train_config_from_dict(raw: dict) -> TrainConfig:
             shots=int(raw.get("shots", 16384)),
             seed=int(raw.get("seed", 0)),
             forward_mode=raw.get("mode", QUANTUM).lower(),
-            exact=raw.get("exact", "false").lower() in ("1", "true", "yes"),
         )
     except (KeyError, ValueError) as exc:
         raise ParseError(f"bad train config: {exc}") from exc

@@ -4,11 +4,13 @@ A real vector x is mapped to the normalized state x/||x|| while ||x|| is kept
 as classical metadata, so inner products of encoded states can be rescaled
 back to classical dot products. Zero vectors encode to a sentinel state with
 source_norm 0; downstream reconstruction forces those products to zero
-instead of dispatching an undefined normalized state.
+instead of dispatching an undefined normalized state. Every norm comes from
+one rule, _norm, so encode's sentinel and the row/column norms agree.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,13 +68,38 @@ class EncodedState:
         return self.amplitudes ** 2
 
 
+# below this norm the sum of squares has left float64's normal range
+_SQRT_TINY = math.sqrt(np.finfo(np.float64).tiny)
+
+
+def _norm(arr: np.ndarray, axis: int | None = None):
+    """Euclidean norm of a vector (axis None) or of each row/column.
+
+    Where the plain sum of squares overflows to inf or underflows below the
+    normal range, the entries are first divided by their largest magnitude;
+    everywhere else the result is np.linalg.norm's, bit for bit.
+    """
+    with np.errstate(over="ignore"):  # an inf here is rescued below
+        if axis is None:  # np.linalg.norm's arithmetic, without its dispatch cost
+            plain = lo = hi = math.sqrt(arr.dot(arr))
+        else:
+            plain = np.linalg.norm(arr, axis=axis)
+            lo, hi = plain.min(), plain.max()
+    if _SQRT_TINY <= lo and hi < math.inf:
+        return plain
+    scale = np.max(np.abs(arr), axis=axis, keepdims=True)
+    scaled = np.linalg.norm(arr / np.where(scale == 0.0, 1.0, scale), axis=axis)
+    rescue = np.isinf(plain) | (plain < _SQRT_TINY)
+    return np.where(rescue, scaled * scale.reshape(np.shape(plain)), plain)
+
+
 def encode(v) -> EncodedState:
     """Amplitude-encode a real vector: amplitudes = v/||v||, norm tracked.
 
     The zero vector returns the sentinel (all-zero amplitudes, norm 0).
     """
     arr = as_vector(v)
-    norm = float(np.linalg.norm(arr))
+    norm = float(_norm(arr))
     if norm == 0.0:
         return EncodedState(np.zeros_like(arr), 0.0)
     return EncodedState(arr / norm, norm)
@@ -80,12 +107,12 @@ def encode(v) -> EncodedState:
 
 def row_norms(m) -> np.ndarray:
     """Euclidean norm of every row."""
-    return np.linalg.norm(as_matrix(m), axis=1)
+    return _norm(as_matrix(m), axis=1)
 
 
 def col_norms(m) -> np.ndarray:
     """Euclidean norm of every column."""
-    return np.linalg.norm(as_matrix(m), axis=0)
+    return _norm(as_matrix(m), axis=0)
 
 
 @dataclass

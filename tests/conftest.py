@@ -7,6 +7,19 @@ import pytest
 DATA_DIR = Path(__file__).parent / "data"
 
 
+def triple_loop(a, b):
+    """Independent classical oracle: literal scalar triple loop."""
+    rows, inner, cols = a.shape[0], a.shape[1], b.shape[1]
+    out = [[0.0] * cols for _ in range(rows)]
+    for i in range(rows):
+        for j in range(cols):
+            acc = 0.0
+            for k in range(inner):
+                acc += a[i][k] * b[k][j]
+            out[i][j] = acc
+    return np.array(out)
+
+
 @pytest.fixture(scope="session")
 def iris_path() -> Path:
     return DATA_DIR / "iris.csv"

@@ -1,38 +1,33 @@
 """Acceptance suite: one test per criterion, one printed verdict line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines.
-Every tolerance is pinned here; the master seed is fixed at 42.
+Criteria 1, 2, 3, 5 and 7 run from `qstacker.checks`, which pins their
+tolerances and is shared with `qstacker verify`; every other tolerance is
+pinned here. The master seed is fixed at 42.
 """
 
 import math
 import statistics
 
 import numpy as np
-import pytest
+from conftest import triple_loop
 
 from qstacker import (
-    HadamardJob,
     MatMulConfig,
     NetworkShape,
     StackingPattern,
     StateFamily,
     TrainConfig,
-    analytic_overlap,
-    circuit_verify,
+    checks,
     concentration_check,
     crossing_point,
     derive_seed,
-    encode,
-    entropy,
-    estimate,
-    execute_plan,
     generate_state,
     ingest_iris,
     ingest_mnist_idx,
     matmul,
     pearson,
     plan,
-    sample_hadamard,
     split_dataset,
     train,
     variance_band,
@@ -49,77 +44,16 @@ def report(number: int, name: str, ok: bool, detail: str) -> None:
     assert ok, f"criterion {number} ({name}): {detail}"
 
 
-def random_state(rng, dim):
-    return encode(rng.normal(size=dim))
-
-
 def test_criterion_01_circuit_fidelity():
-    rng = np.random.default_rng(derive_seed(MASTER, 1))
-    worst = 0.0
-    pairs = 0
-    while pairs < 200:
-        n = 1 + pairs % 6
-        psi, phi = random_state(rng, 1 << n), random_state(rng, 1 << n)
-        expected = (1.0 + analytic_overlap(psi, phi)) / 2.0
-        worst = max(worst, abs(circuit_verify(psi, phi) - expected))
-        pairs += 1
-    report(1, "circuit fidelity", worst <= 1e-10, f"200 pairs n in 1..6, max |dP0| = {worst:.2e}")
+    report(1, "circuit fidelity", *checks.circuit_fidelity(MASTER))
 
 
 def test_criterion_02_estimator_law():
-    rng = np.random.default_rng(derive_seed(MASTER, 2))
-    reps, shots = 2000, 1024
-    checked = 0
-    details = []
-    while checked < 5:
-        psi, phi = random_state(rng, 8), random_state(rng, 8)
-        mu = analytic_overlap(psi, phi)
-        if abs(mu) > 0.9:
-            continue
-        zs = np.array(
-            [
-                estimate(
-                    sample_hadamard(
-                        HadamardJob(psi=psi, phi=phi, shots=shots,
-                                    seed=derive_seed(MASTER, 2, checked, k))
-                    )
-                ).z_hat
-                for k in range(reps)
-            ]
-        )
-        expected_var = (1.0 - mu * mu) / shots
-        var_ratio = float(np.var(zs, ddof=1)) / expected_var
-        mean_err = abs(float(np.mean(zs)) - mu)
-        mean_tol = 4.0 * math.sqrt(expected_var / reps)
-        assert 0.8 <= var_ratio <= 1.2, f"variance ratio {var_ratio:.3f} at mu={mu:.3f}"
-        assert mean_err <= mean_tol, f"mean error {mean_err:.2e} > {mean_tol:.2e}"
-        details.append(f"mu={mu:+.2f} ratio={var_ratio:.3f}")
-        checked += 1
-    report(2, "estimator law", True, "; ".join(details))
-
-
-def triple_loop(a, b):
-    rows, inner, cols = a.shape[0], a.shape[1], b.shape[1]
-    out = [[0.0] * cols for _ in range(rows)]
-    for i in range(rows):
-        for j in range(cols):
-            acc = 0.0
-            for k in range(inner):
-                acc += a[i][k] * b[k][j]
-            out[i][j] = acc
-    return np.array(out)
+    report(2, "estimator law", *checks.estimator_law(MASTER))
 
 
 def test_criterion_03_exact_mode_equivalence():
-    rng = np.random.default_rng(derive_seed(MASTER, 3))
-    worst = 0.0
-    for _ in range(100):
-        rows, inner, cols = (int(v) for v in rng.integers(1, 65, size=3))
-        a = rng.normal(size=(rows, inner))
-        b = rng.normal(size=(inner, cols))
-        c = matmul(a, b, MatMulConfig(exact=True)).c
-        worst = max(worst, float(np.abs(c - triple_loop(a, b)).max()))
-    report(3, "exact-mode matmul", worst <= 1e-10, f"100 pairs up to 64x64, max error {worst:.2e}")
+    report(3, "exact-mode matmul", *checks.exact_matmul(MASTER, triple_loop))
 
 
 def test_criterion_04_sampled_matmul_bound():
@@ -139,24 +73,7 @@ def test_criterion_04_sampled_matmul_bound():
 
 
 def test_criterion_05_pattern_invariance():
-    ok = True
-    for n in (2, 4, 8):
-        rng = np.random.default_rng(derive_seed(MASTER, 5, n))
-        jobs = [
-            HadamardJob(
-                psi=random_state(rng, 8),
-                phi=random_state(rng, 8),
-                shots=2048,
-                seed=derive_seed(MASTER, 5, n, i),
-            )
-            for i in range(n * n)
-        ]
-        buffers = [
-            execute_plan(plan(n, 8, pattern, 1 << 30), jobs)
-            for pattern in StackingPattern
-        ]
-        ok = ok and all(buf == buffers[0] for buf in buffers[1:])
-    report(5, "pattern invariance", ok, "identical buffers for N in {2,4,8}, all four layouts")
+    report(5, "pattern invariance", *checks.pattern_invariance(MASTER))
 
 
 def test_criterion_06_planner_formulas():
@@ -174,20 +91,7 @@ def test_criterion_06_planner_formulas():
 
 
 def test_criterion_07_purity_renyi_inequality():
-    families = list(StateFamily)
-    per_family = 20000
-    violations = 0
-    for fam in families:
-        for k in range(per_family):
-            _, dist = generate_state(fam, 32, derive_seed(MASTER, 7, ord(fam.value[0]), k))
-            rep = entropy(dist)
-            if rep.purity < math.exp(-rep.shannon_nats) - 1e-12:
-                violations += 1
-            if rep.collision_entropy > rep.shannon_nats + 1e-12:
-                violations += 1
-    total = per_family * len(families)
-    report(7, "purity/Renyi inequality", violations == 0,
-           f"{total} distributions, {violations} violations")
+    report(7, "purity/Renyi inequality", *checks.entropy_inequalities(MASTER, 20000))
 
 
 UNIFORM_LEVELS = [max(1, int(round(v))) for v in np.geomspace(1, 64, 16)]
@@ -344,16 +248,16 @@ def test_criterion_14_gradient_check():
         model = init_model(shape, seed=derive_seed(MASTER, 14, trial))
         xb = rng.normal(size=(4, dims[0]))
         yb = rng.integers(0, dims[2], size=4)
-        _, dw1, dw2, _ = _loss_and_grads(model, xb, yb, CLASSICAL, 64, 0, False)
+        _, dw1, dw2, _ = _loss_and_grads(model, xb, yb, CLASSICAL, 64, 0)
         h = 1e-6
         for w, dw in ((model.w1, dw1), (model.w2, dw2)):
             num = np.zeros_like(w)
             for idx in np.ndindex(w.shape):
                 orig = w[idx]
                 w[idx] = orig + h
-                lp = _loss_and_grads(model, xb, yb, CLASSICAL, 64, 0, False)[0]
+                lp = _loss_and_grads(model, xb, yb, CLASSICAL, 64, 0)[0]
                 w[idx] = orig - h
-                lm = _loss_and_grads(model, xb, yb, CLASSICAL, 64, 0, False)[0]
+                lm = _loss_and_grads(model, xb, yb, CLASSICAL, 64, 0)[0]
                 w[idx] = orig
                 num[idx] = (lp - lm) / (2 * h)
             denom = max(float(np.linalg.norm(dw)), float(np.linalg.norm(num)), 1e-300)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qstacker import checks
 from qstacker.cli import main
 from qstacker.matio import read_matrix_csv, write_matrix_csv
 
@@ -155,13 +156,26 @@ class TestTrainCommand:
         capsys.readouterr()
 
 
+ACCEPTANCE_NAMES = ["circuit fidelity", "estimator law", "exact-mode matmul",
+                    "pattern invariance", "purity/Renyi inequality"]
+
+
 class TestVerifyCommand:
     def test_healthy_build_exits_zero(self, capsys):
         code = main(["verify", "--seed", "8"])
         out = capsys.readouterr().out
         assert code == 0
         assert "FAIL" not in out
-        assert out.count("PASS") == 6
+        verdicts = [line for line in out.splitlines() if line.startswith("PASS ")]
+        assert [line[5:].split(":")[0] for line in verdicts] == ACCEPTANCE_NAMES
+
+    def test_failing_check_exits_four(self, capsys, monkeypatch):
+        monkeypatch.setattr(checks, "pattern_invariance", lambda master: (False, "planted"))
+        code = main(["verify", "--seed", "8"])
+        out = capsys.readouterr().out
+        assert code == 4
+        assert "FAIL pattern invariance: planted" in out.splitlines()
+        assert out.count("PASS ") == 4
 
 
 def test_usage_error_exit_code():

@@ -2,23 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from conftest import triple_loop
 
 from qstacker import MatMulConfig, StackingPattern, error_budget, matmul, matvec
 from qstacker.errors import NonFiniteInput, ShapeMismatch
 from qstacker.matmul import summary_dict, write_result_csv, write_summary_json
-
-
-def triple_loop(a, b):
-    """Independent classical oracle: literal scalar triple loop."""
-    rows, inner, cols = a.shape[0], a.shape[1], b.shape[1]
-    out = [[0.0] * cols for _ in range(rows)]
-    for i in range(rows):
-        for j in range(cols):
-            acc = 0.0
-            for k in range(inner):
-                acc += a[i][k] * b[k][j]
-            out[i][j] = acc
-    return np.array(out)
 
 
 class TestExactMode:
@@ -58,11 +46,14 @@ class TestExactMode:
         r = matmul(a, b, MatMulConfig(exact=True))
         assert not np.isnan(r.c).any()
         dead = np.zeros((5, 4), dtype=bool)
-        dead[[1, 3, 4], :] = True
+        dead[[1, 3], :] = True
         dead[:, 2] = True
         assert np.array_equal(r.c[dead], np.zeros(dead.sum()))
         assert np.array_equal(r.z_hat[dead], np.zeros(dead.sum()))
         assert np.abs(r.c - a @ b).max() <= 1e-10
+        tiny = r.c[4, [0, 1, 3]]
+        assert np.all(tiny != 0.0)
+        assert np.allclose(tiny, (a @ b)[4, [0, 1, 3]], rtol=1e-10, atol=0.0)
         assert (r.cache_hits, r.cache_misses) == (0, 5 + 4)
 
     @pytest.mark.parametrize("shape", [(1, 7, 5), (5, 7, 1), (1, 1, 1), (6, 1, 3)])
@@ -150,6 +141,18 @@ class TestSampledMode:
         b = rng.normal(size=(3, 3))
         cfg = MatMulConfig(shots=4096, seed=13)
         assert np.array_equal(matmul(a, b, cfg).c, matmul(a, b, cfg).c)
+
+
+class TestExtremeMagnitudes:
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_magnitudes_give_finite_products(self, scale, exact):
+        # the row's sum of squares overflows (1e200) or underflows (1e-200);
+        # overlap +1 puts every shot on ancilla 0, so sampling is exact too
+        a = np.full((1, 2), scale)
+        r = matmul(a, np.ones((2, 1)), MatMulConfig(shots=1024, seed=31, exact=exact))
+        assert r.z_hat[0, 0] == pytest.approx(1.0, rel=0.0, abs=1e-15)
+        assert r.c[0, 0] == pytest.approx(2.0 * scale, rel=1e-12, abs=0.0)
 
 
 class TestZeroNormShortCircuit:

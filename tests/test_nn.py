@@ -24,7 +24,6 @@ from qstacker.nn import (
     CLASSICAL,
     QUANTUM,
     _loss_and_grads,
-    declared_mnist_count,
     parse_train_config,
     sigmoid,
     split_dataset,
@@ -49,15 +48,6 @@ class TestForward:
             logits, hidden, _ = forward(model, x, mode=mode, shots=256, seed=1)
             assert np.array_equal(logits, np.zeros((3, 1)))
             assert np.allclose(hidden, 0.5)  # sigmoid(0)
-
-    def test_classical_equals_quantum_exact(self):
-        rng = np.random.default_rng(2)
-        model = Model(w1=rng.normal(size=(4, 4)), w2=rng.normal(size=(3, 4)))
-        x = rng.normal(size=(5, 4))
-        lc, hc, _ = forward(model, x, mode=CLASSICAL, seed=3)
-        lq, hq, _ = forward(model, x, mode=QUANTUM, exact=True, seed=3)
-        assert np.array_equal(lc, lq)
-        assert np.array_equal(hc, hq)
 
     def test_classical_matches_plain_arithmetic(self):
         rng = np.random.default_rng(4)
@@ -97,16 +87,16 @@ class TestGradients:
             model = init_model(shape, seed=trial)
             xb = rng.normal(size=(6, 3))
             y = rng.integers(0, 3, size=6)
-            loss, dw1, dw2, _ = _loss_and_grads(model, xb, y, CLASSICAL, 64, 0, False)
+            loss, dw1, dw2, _ = _loss_and_grads(model, xb, y, CLASSICAL, 64, 0)
             h = 1e-6
             for w, dw in ((model.w1, dw1), (model.w2, dw2)):
                 num = np.zeros_like(w)
                 for idx in np.ndindex(w.shape):
                     orig = w[idx]
                     w[idx] = orig + h
-                    lp = _loss_and_grads(model, xb, y, CLASSICAL, 64, 0, False)[0]
+                    lp = _loss_and_grads(model, xb, y, CLASSICAL, 64, 0)[0]
                     w[idx] = orig - h
-                    lm = _loss_and_grads(model, xb, y, CLASSICAL, 64, 0, False)[0]
+                    lm = _loss_and_grads(model, xb, y, CLASSICAL, 64, 0)[0]
                     w[idx] = orig
                     num[idx] = (lp - lm) / (2 * h)
                 rel = np.linalg.norm(dw - num) / max(np.linalg.norm(dw), np.linalg.norm(num))
@@ -114,15 +104,6 @@ class TestGradients:
 
 
 class TestTrain:
-    def test_quantum_exact_trajectory_bit_identical_to_classical(self):
-        data = tiny_dataset()
-        base = dict(shape=NetworkShape(4, 4, 3), batch_size=4, epochs=3, seed=11)
-        mc, rc = train(data, TrainConfig(forward_mode=CLASSICAL, **base))
-        mq, rq = train(data, TrainConfig(forward_mode=QUANTUM, exact=True, **base))
-        assert np.array_equal(mc.w1, mq.w1)
-        assert np.array_equal(mc.w2, mq.w2)
-        assert [e[1] for e in rc.epochs] == [e[1] for e in rq.epochs]
-
     def test_deterministic_given_seed(self):
         data = tiny_dataset()
         cfg = TrainConfig(
@@ -271,10 +252,6 @@ class TestMnistIngest:
         assert y.shape == (800,)
         assert features.min() >= 0.0 and features.max() <= 1.0
 
-    def test_declared_count(self, mnist_idx_files):
-        images, _ = mnist_idx_files
-        assert declared_mnist_count(images) == 800
-
     def test_downsample_and_limit(self, mnist_idx_files):
         images, labels = mnist_idx_files
         features, y = ingest_mnist_idx(images, labels, downsample=2, limit=100)
@@ -331,3 +308,9 @@ class TestRunConfig:
     def test_missing_shape(self):
         with pytest.raises(ParseError):
             train_config_from_dict({"lr": "0.1"})
+
+    def test_exact_key_is_rejected(self):
+        # a run file that asks for exact products must say mode=classical,
+        # not silently sample
+        with pytest.raises(ParseError, match="mode=classical"):
+            train_config_from_dict({"shape": "4,4,3", "mode": "quantum", "exact": "true"})

@@ -66,6 +66,24 @@ class TestEncode:
 
 
 class TestNorms:
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_magnitudes_share_one_rule(self, scale):
+        m = np.array([[3.0, 4.0], [0.0, 0.0]]) * scale
+        norms = row_norms(m)
+        assert norms[0] == pytest.approx(5.0 * scale, rel=1e-15, abs=0.0)
+        assert norms[1] == 0.0
+        assert np.array_equal(col_norms(m.T), norms)
+        assert encode(m[0]).source_norm == norms[0]
+        assert np.allclose(encode(m[0]).amplitudes, [0.6, 0.8], atol=1e-15)
+
+    def test_ordinary_norms_are_numpy_bits(self):
+        rng = np.random.default_rng(9)
+        m = rng.normal(size=(6, 5)) * 10.0 ** rng.integers(-150, 150, size=(6, 1))
+        assert np.array_equal(row_norms(m), np.linalg.norm(m, axis=1))
+        assert np.array_equal(col_norms(m.T), np.linalg.norm(m.T, axis=0))
+        for row in m:
+            assert encode(row).source_norm == float(np.linalg.norm(row))
+
     def test_identity_rows(self):
         assert np.array_equal(row_norms(np.eye(2)), [1, 1])
 
