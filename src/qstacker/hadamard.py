@@ -4,7 +4,8 @@ Two execution paths compute the same distribution:
 
   * production path: the ancilla |0> probability for states psi, phi is
     p0 = (1 + <psi|phi>)/2 exactly, so shot outcomes are drawn from
-    Binomial(S, p0) with a per-job counter-based stream;
+    Binomial(S, p0) with a per-job counter-based stream (the job's Philox
+    key is its seed; seeding.job_binomial re-keys a per-thread generator);
   * verification path (circuit_verify): an explicit (n+1)-qubit statevector
     simulation of the ancilla-Hadamard / controlled-unitary / ancilla-Hadamard
     circuit, used as an oracle that the analytic shortcut is the true
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch, DimNotPowerOfTwo, DimTooLarge, ZeroState
-from .seeding import job_rng
+from .seeding import job_binomial
 from .vectors import EncodedState
 
 MAX_VERIFY_QUBITS = 10  # data qubits; the explicit circuit adds one ancilla
@@ -71,7 +72,8 @@ def analytic_overlap(psi: EncodedState, phi: EncodedState) -> float:
         raise DimMismatch(f"{psi.dim} != {phi.dim}")
     if psi.is_zero or phi.is_zero:
         raise ZeroState("overlap undefined for the zero-vector sentinel")
-    return float(np.clip(np.dot(psi.amplitudes, phi.amplitudes), -1.0, 1.0))
+    # min/max gives np.clip's float, NaN and -0.0 included, at a fraction of its cost
+    return min(max(float(np.dot(psi.amplitudes, phi.amplitudes)), -1.0), 1.0)
 
 
 def sample_hadamard(job: HadamardJob) -> ShotResult:
@@ -82,7 +84,7 @@ def sample_hadamard(job: HadamardJob) -> ShotResult:
     """
     mu = analytic_overlap(job.psi, job.phi)
     p0 = min(max((1.0 + mu) / 2.0, 0.0), 1.0)
-    count0 = int(job_rng(job.seed).binomial(job.shots, p0))
+    count0 = job_binomial(job.seed, job.shots, p0)
     return ShotResult(count0=count0, count1=job.shots - count0)
 
 

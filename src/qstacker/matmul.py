@@ -3,8 +3,9 @@
 Stage 1 encodes the rows of A and columns of B once each and records their
 Euclidean norms. Stage 2 dispatches one estimation job per output element
 through a stacking plan; element (i, j) gets its own seed derived from
-(master seed, i, j), so results are independent of the layout. Stage 3
-reconstructs C_ij = ||A_i|| * ||B_j|| * z_hat_ij.
+(master seed, i, j), all of them in one array call, so results are
+independent of the layout. Stage 3 reconstructs
+C_ij = ||A_i|| * ||B_j|| * z_hat_ij.
 
 Elements whose row or column norm is zero are written as exact zeros with no
 job dispatched. Exact mode skips the sampler: it normalizes A's rows and B's
@@ -91,6 +92,9 @@ def matmul(a, b, cfg: MatMulConfig) -> MatMulResult:
         )
 
     cache = prepare_all(am, bm)
+    seeds = derive_seed(
+        cfg.seed, np.arange(rows, dtype=np.uint64)[:, None], np.arange(cols, dtype=np.uint64)
+    ).tolist()
     live = [
         (i, j)
         for i in range(rows)
@@ -102,7 +106,7 @@ def matmul(a, b, cfg: MatMulConfig) -> MatMulResult:
             psi=cache.get_row(am, i),
             phi=cache.get_col(bm, j),
             shots=cfg.shots,
-            seed=derive_seed(cfg.seed, i, j),
+            seed=seeds[i][j],
         )
         for i, j in live
     ]

@@ -65,8 +65,7 @@ class TrainConfig:
             raise ValueError("batch_size and epochs must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-        if self.forward_mode not in (CLASSICAL, QUANTUM):
-            raise ValueError(f"unknown forward mode {self.forward_mode!r}")
+        _check_mode(self.forward_mode)
 
 
 @dataclass
@@ -115,7 +114,13 @@ def init_model(shape: NetworkShape, seed: int) -> Model:
     )
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in (CLASSICAL, QUANTUM):
+        raise ValueError(f"unknown forward mode {mode!r}")
+
+
 def _layer_cfg(mode: str, shots: int, seed: int) -> MatMulConfig:
+    _check_mode(mode)
     return MatMulConfig(shots=shots, seed=seed, exact=mode == CLASSICAL)
 
 

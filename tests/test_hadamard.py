@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from qstacker import (
 )
 from qstacker.errors import DimMismatch, DimNotPowerOfTwo, DimTooLarge, ZeroState
 from qstacker.hadamard import ShotResult
+from qstacker.vectors import EncodedState
 
 
 def random_pair(rng, dim):
@@ -43,6 +46,35 @@ class TestAnalyticOverlap:
     def test_clamped_at_one(self):
         v = np.full(64, 1.0 / 8.0)
         assert analytic_overlap(encode(v), encode(v.copy())) <= 1.0
+
+    def test_rounding_past_one_clamps_to_exactly_one(self):
+        rng = np.random.default_rng(0)
+        states = (encode(rng.normal(size=8)) for _ in range(1000))
+        s = next(s for s in states if np.dot(s.amplitudes, s.amplitudes) > 1.0)
+        neg = encode(-s.amplitudes)
+        assert np.dot(s.amplitudes, neg.amplitudes) < -1.0
+        for mu, expected in ((analytic_overlap(s, s), 1.0), (analytic_overlap(s, neg), -1.0)):
+            assert type(mu) is float and mu == expected
+
+    def test_clamp_is_np_clip_bit_for_bit(self):
+        def old(psi, phi):
+            return float(np.clip(np.dot(psi.amplitudes, phi.amplitudes), -1.0, 1.0))
+
+        def bits(x):
+            return struct.pack("<d", x)
+
+        rng = np.random.default_rng(8)
+        pairs = [random_pair(rng, dim) for dim in (1, 2, 3, 16, 64) for _ in range(200)]
+        for psi, _ in pairs[:200]:
+            pairs += [(psi, psi), (psi, encode(-psi.amplitudes))]
+        pairs += [
+            (EncodedState(np.array([-0.0]), 1.0), EncodedState(np.array([1.0]), 1.0)),
+            (EncodedState(np.array([np.nan, 0.0]), 1.0), encode([1.0, 0.0])),
+            (EncodedState(np.array([np.inf]), 1.0), EncodedState(np.array([-2.0]), 1.0)),
+        ]
+        for psi, phi in pairs:
+            mu = analytic_overlap(psi, phi)
+            assert type(mu) is float and bits(mu) == bits(old(psi, phi))
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -141,6 +142,40 @@ class TestSampledMode:
         b = rng.normal(size=(3, 3))
         cfg = MatMulConfig(shots=4096, seed=13)
         assert np.array_equal(matmul(a, b, cfg).c, matmul(a, b, cfg).c)
+
+
+class TestGoldenStream:
+    # a 5x7 . 7x6 product with a zero row (A[3]), a zero column (B[:, 4]) and
+    # planted overlaps +1 at (0, 1) and -1 at (2, 2); the hashes pin the
+    # sampled stream, so any silent change of seeds or draws fails here
+    A = np.array([[2., -1., 0., 3., 1., -2., 1.],
+                  [1., 1., 1., 1., 1., 1., 1.],
+                  [0., 2., -3., 1., 0., 1., -1.],
+                  [0., 0., 0., 0., 0., 0., 0.],
+                  [-1., 0., 2., 2., -3., 1., 4.]])
+    B = np.array([[1., 2., 0., 0., 0., -1.],
+                  [0., -1., -4., 3., 0., 2.],
+                  [2., 0., 6., -1., 0., 1.],
+                  [1., 3., -2., 0., 0., 0.],
+                  [-1., 1., 0., 2., 0., 1.],
+                  [3., -2., -2., 1., 0., -3.],
+                  [0., 1., 2., -2., 0., 1.]])
+
+    @pytest.mark.parametrize("shots, c_sha, z_sha", [
+        (1, "b401dda12bbfa37d32c439509cb46d8dde3f09f97c308c544b9515b52bf45ac8",
+         "4dca6d3dfd6b21dacb974f3dc727348f2b080291f3624acd4a1441f2888caf04"),
+        (1024, "98ae610299d818ad5ef95e59993c6007bb22bdbac481a7d65f8f1b0f8e5aa8a0",
+         "c90fba0a124197a47f58da4524945bc5a02d5fc72998a70e830c300961751ccd"),
+        (1 << 20, "11311a123c97f34c1da4ee5ead5a07e16298dc457da3c6f0c57c24106481c90f",
+         "7d82bf8e1b23f192bf077d1064a5fa7e00186c1753950e653570218a5e918c84"),
+    ])
+    def test_sampled_stream_is_pinned(self, shots, c_sha, z_sha):
+        assert np.array_equal(self.B[:, 1], self.A[0]) and np.array_equal(self.B[:, 2], -2 * self.A[2])
+        r = matmul(self.A, self.B, MatMulConfig(shots=shots, seed=(1 << 63) + 5))
+        assert (r.z_hat[0, 1], r.z_hat[2, 2]) == (1.0, -1.0)
+        assert not r.c[3].any() and not r.c[:, 4].any()
+        assert hashlib.sha256(r.c.tobytes()).hexdigest() == c_sha
+        assert hashlib.sha256(r.z_hat.tobytes()).hexdigest() == z_sha
 
 
 class TestExtremeMagnitudes:

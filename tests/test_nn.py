@@ -78,6 +78,19 @@ class TestForward:
         with pytest.raises(ShapeMismatch):
             forward(model, np.zeros(5))
 
+    def test_unknown_mode_raises_before_any_job(self, monkeypatch):
+        import qstacker.stacking
+
+        dispatched = []
+        monkeypatch.setattr(qstacker.stacking, "sample_hadamard", dispatched.append)
+        model = Model(w1=np.ones((4, 4)), w2=np.ones((3, 4)))
+        data = tiny_dataset()
+        with pytest.raises(ValueError, match="unknown forward mode 'Classical'"):
+            forward(model, np.ones(4), mode="Classical")
+        with pytest.raises(ValueError, match="unknown forward mode 'sampled'"):
+            evaluate(model, data, mode="sampled")
+        assert dispatched == []
+
 
 class TestGradients:
     def test_matches_central_finite_differences(self):
