@@ -56,6 +56,6 @@ from .stacking import (
     plan,
     plan_jobs,
 )
-from .vectors import EncodedState, PrepCache, encode, col_norms, prepare_all, row_norms
+from .vectors import EncodedState, encode, col_norms, row_norms
 
 __version__ = "0.1.0"

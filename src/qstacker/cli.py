@@ -36,6 +36,7 @@ from .matmul import (
 )
 from .errors import (
     BudgetTooSmall,
+    InvalidArgument,
     InvalidSupport,
     ParseError,
     QStackerError,
@@ -47,11 +48,22 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_VERIFY = 4
 
-_USAGE_ERRORS = (BudgetTooSmall, InvalidSupport, ValueError)
+_USAGE_ERRORS = (BudgetTooSmall, InvalidSupport, InvalidArgument)
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("AQ_SEED", "0"))
+    try:
+        return int(os.environ.get("AQ_SEED", "0"))
+    except ValueError as exc:
+        raise InvalidArgument(f"AQ_SEED: {exc}") from None
+
+
+def _config_int(raw: dict, key: str, default: int | None = None) -> int | None:
+    """An integer run-file value; a malformed one is a data error."""
+    try:
+        return int(raw[key]) if key in raw else default
+    except ValueError:
+        raise ParseError(f"bad train config: {key}={raw[key]!r}") from None
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -139,7 +151,10 @@ def cmd_plan(args) -> int:
 
 def cmd_entropy_sweep(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
-    families = [StateFamily(tok.strip()) for tok in args.families.split(",") if tok.strip()]
+    try:
+        families = [StateFamily(tok.strip()) for tok in args.families.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise InvalidArgument(f"--families: {exc}") from None
     args.out.mkdir(parents=True, exist_ok=True)
     sweeps = {}
     all_records = []
@@ -177,22 +192,20 @@ def cmd_train(args) -> int:
     cfg = nn.train_config_from_dict(raw)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
+    split_seed = _config_int(raw, "split_seed", 1234)
     if "dataset" in raw:
-        data = nn.ingest_iris(raw["dataset"], split_seed=int(raw.get("split_seed", 1234)))
+        data = nn.ingest_iris(raw["dataset"], split_seed=split_seed)
     elif "mnist_images" in raw and "mnist_labels" in raw:
         features, labels = nn.ingest_mnist_idx(
             raw["mnist_images"],
             raw["mnist_labels"],
-            downsample=int(raw.get("downsample", 1)),
-            limit=int(raw["limit"]) if "limit" in raw else None,
+            downsample=_config_int(raw, "downsample", 1),
+            limit=_config_int(raw, "limit"),
         )
+        counts = None
         if "train_count" in raw and "test_count" in raw:
-            data = nn.split_dataset(
-                features, labels, int(raw.get("split_seed", 1234)),
-                counts=(int(raw["train_count"]), int(raw["test_count"])),
-            )
-        else:
-            data = nn.split_dataset(features, labels, int(raw.get("split_seed", 1234)))
+            counts = (_config_int(raw, "train_count"), _config_int(raw, "test_count"))
+        data = nn.split_dataset(features, labels, split_seed, counts=counts)
     else:
         raise ParseError("config needs dataset=<iris csv> or mnist_images=/mnist_labels=")
     model, report = nn.train(data, cfg)

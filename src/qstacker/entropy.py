@@ -32,6 +32,7 @@ from scipy.stats import chi2
 from .errors import (
     ConstantSeries,
     InsufficientOverlap,
+    InvalidArgument,
     InvalidDistribution,
     InvalidEntropy,
     InvalidEpsilon,
@@ -104,7 +105,7 @@ def dividend_bound(h_nats: float, shots: int) -> float:
     if h_nats < 0.0:
         raise InvalidEntropy(f"entropy must be >= 0, got {h_nats}")
     if shots < 1:
-        raise ValueError("shots must be >= 1")
+        raise InvalidArgument("shots must be >= 1")
     return (1.0 - math.exp(-h_nats)) / shots
 
 
@@ -241,31 +242,19 @@ def variance_sweep(
     family = StateFamily(family)
     pairing = SweepPairing(pairing)
     if repetitions < 2:
-        raise ValueError("repetitions must be >= 2")
+        raise InvalidArgument("repetitions must be >= 2")
     records = []
     for j, level in enumerate(levels):
-        if family is StateFamily.INTERPOLATED:
-            psi, dist = generate_state(
-                family, dim, derive_seed(seed, j), t=float(level)
-            )
-        else:
-            psi, dist = generate_state(
-                family, dim, derive_seed(seed, j), support=int(level)
-            )
+        # the interpolated family is swept by t, every other family by support size
+        shape = {"t": float(level)} if family is StateFamily.INTERPOLATED else {"support": int(level)}
+        psi, dist = generate_state(family, dim, derive_seed(seed, j), **shape)
         rep = entropy(dist)
         rng = job_rng(derive_seed(seed, j, 1))
         if pairing is SweepPairing.RESIGNED:
             taus = rng.integers(0, 2, size=(repetitions, dim)) * 2 - 1
             mus = taus @ dist.p  # <psi| V_b |psi> = sum_i p_i tau_bi
         else:
-            if family is StateFamily.INTERPOLATED:
-                phi, _ = generate_state(
-                    family, dim, derive_seed(seed, j, 2), t=float(level)
-                )
-            else:
-                phi, _ = generate_state(
-                    family, dim, derive_seed(seed, j, 2), support=int(level)
-                )
+            phi, _ = generate_state(family, dim, derive_seed(seed, j, 2), **shape)
             mu = float(np.dot(psi.amplitudes, phi.amplitudes))
             mus = np.full(repetitions, mu)
         p0 = np.clip((1.0 + mus) / 2.0, 0.0, 1.0)
@@ -316,7 +305,7 @@ def pearson(xs, ys) -> CorrelationStats:
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("xs and ys must be 1-D sequences of equal length")
+        raise InvalidArgument("xs and ys must be 1-D sequences of equal length")
     m = x.size
     if m < 3:
         raise TooFewPoints(f"need at least 3 points, got {m}")
@@ -453,7 +442,7 @@ def concentration_check(
     if not isinstance(dist, ProbDist):
         dist = ProbDist(np.asarray(dist, dtype=np.float64))
     if trials < 2:
-        raise ValueError("trials must be >= 2")
+        raise InvalidArgument("trials must be >= 2")
     rng = job_rng(seed)
     signs = rng.integers(0, 2, size=(trials, dist.n)) * 2 - 1
     mus = signs @ dist.p

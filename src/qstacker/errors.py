@@ -9,6 +9,10 @@ class QStackerError(Exception):
     """Base class for all qstacker errors."""
 
 
+class InvalidArgument(QStackerError, ValueError):
+    """A count or option argument is out of range (shots, repetitions, n...)."""
+
+
 class NonFiniteInput(QStackerError):
     """An input vector or matrix contains NaN or Inf entries."""
 
@@ -42,7 +46,7 @@ class InvalidEpsilon(QStackerError):
 
 
 class PlanJobMismatch(QStackerError):
-    """Execution plan and job buffer disagree on job count or ids."""
+    """Execution plan and job buffer disagree on job count, or an entry is not a job."""
 
 
 class InvalidDistribution(QStackerError):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, DimNotPowerOfTwo, DimTooLarge, ZeroState
+from .errors import DimMismatch, DimNotPowerOfTwo, DimTooLarge, InvalidArgument, ZeroState
 from .seeding import job_binomial
 from .vectors import EncodedState
 
@@ -42,7 +42,7 @@ class HadamardJob:
         if self.psi.dim != self.phi.dim:
             raise DimMismatch(f"{self.psi.dim} != {self.phi.dim}")
         if self.shots < 1:
-            raise ValueError("shots must be >= 1")
+            raise InvalidArgument("shots must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import InvalidArgument, ShapeMismatch
 from .hadamard import HadamardJob, analytic_overlap, estimate
 from .seeding import derive_seed
 from .stacking import StackingPattern, StackingPlan, execute_plan, plan_jobs
-from .vectors import as_matrix, as_vector, col_norms, prepare_all, row_norms
+from .vectors import _norm, as_matrix, as_vector, prepare_all
 
 UNBOUNDED_BUDGET = 1 << 40  # wide enough that no realistic plan ever splits
 
@@ -45,7 +45,7 @@ class MatMulConfig:
 
     def __post_init__(self):
         if self.shots < 1:
-            raise ValueError("shots must be >= 1")
+            raise InvalidArgument("shots must be >= 1")
 
 
 @dataclass
@@ -54,8 +54,8 @@ class MatMulResult:
     z_hat: np.ndarray  # overlap estimate per element, 0.0 where a norm is zero
     true_overlap: np.ndarray  # exact overlap per element (z_hat itself in exact mode)
     plan_used: StackingPlan
-    cache_hits: int
-    cache_misses: int
+    cache_hits: int  # always 0: every product encodes its rows and columns afresh
+    cache_misses: int  # encodes, rows + cols
     job_count: int
     shots: int
     exact: bool
@@ -69,8 +69,8 @@ def matmul(a, b, cfg: MatMulConfig) -> MatMulResult:
         raise ShapeMismatch(f"cannot multiply {am.shape} by {bm.shape}")
     rows, cols = am.shape[0], bm.shape[1]
     dim = am.shape[1]
-    a_norms = row_norms(am)
-    b_norms = col_norms(bm)
+    a_norms = _norm(am, axis=1)
+    b_norms = _norm(bm, axis=0)
     norm_products = np.outer(a_norms, b_norms)
 
     if cfg.exact:
@@ -91,7 +91,7 @@ def matmul(a, b, cfg: MatMulConfig) -> MatMulResult:
             norm_products=norm_products,
         )
 
-    cache = prepare_all(am, bm)
+    row_states, col_states = prepare_all(am, bm)
     seeds = derive_seed(
         cfg.seed, np.arange(rows, dtype=np.uint64)[:, None], np.arange(cols, dtype=np.uint64)
     ).tolist()
@@ -103,8 +103,8 @@ def matmul(a, b, cfg: MatMulConfig) -> MatMulResult:
     ]
     jobs = [
         HadamardJob(
-            psi=cache.get_row(am, i),
-            phi=cache.get_col(bm, j),
+            psi=row_states[i],
+            phi=col_states[j],
             shots=cfg.shots,
             seed=seeds[i][j],
         )
@@ -123,8 +123,8 @@ def matmul(a, b, cfg: MatMulConfig) -> MatMulResult:
         z_hat=z_hat,
         true_overlap=true_overlap,
         plan_used=the_plan,
-        cache_hits=cache.hits,
-        cache_misses=cache.misses,
+        cache_hits=0,
+        cache_misses=rows + cols,
         job_count=len(jobs),
         shots=cfg.shots,
         exact=False,
@@ -145,7 +145,7 @@ def error_budget(norm_product: float, shots: int, mu: float | None = None) -> fl
     given mu, the exact norm_product * sqrt((1 - mu^2)/S).
     """
     if shots < 1:
-        raise ValueError("shots must be >= 1")
+        raise InvalidArgument("shots must be >= 1")
     if norm_product == 0.0:
         return 0.0
     if mu is None:

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     EmptyDataset,
+    InvalidArgument,
     MagicMismatch,
     ParseError,
     ShapeMismatch,
@@ -62,9 +63,9 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("batch_size and epochs must be >= 1")
+            raise InvalidArgument("batch_size and epochs must be >= 1")
         if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+            raise InvalidArgument("learning_rate must be > 0")
         _check_mode(self.forward_mode)
 
 
@@ -116,7 +117,7 @@ def init_model(shape: NetworkShape, seed: int) -> Model:
 
 def _check_mode(mode: str) -> None:
     if mode not in (CLASSICAL, QUANTUM):
-        raise ValueError(f"unknown forward mode {mode!r}")
+        raise InvalidArgument(f"unknown forward mode {mode!r}")
 
 
 def _layer_cfg(mode: str, shots: int, seed: int) -> MatMulConfig:

@@ -13,6 +13,7 @@ constructing a bit generator for every job.
 
 from __future__ import annotations
 
+import operator
 import threading
 
 import numpy as np
@@ -39,8 +40,10 @@ def derive_seed(master: int, *coords: int | np.ndarray) -> int | np.ndarray:
     (m, j, i) yield unrelated streams. Coordinates may also be uint64 arrays,
     which broadcast against each other and give, element by element, the seed
     of the scalar chain; matmul derives every element seed in one such call.
+    Any integer master (NumPy scalars and negatives included) is reduced mod
+    2^64 as a Python int.
     """
-    state = splitmix64((_INIT ^ (master & _MASK)) & _MASK)
+    state = splitmix64((_INIT ^ (operator.index(master) & _MASK)) & _MASK)
     for c in coords:
         state = splitmix64((state ^ (c & _MASK)) & _MASK)
     return state

@@ -10,9 +10,10 @@ onto clock cycles under a register-width budget:
   batch       greedy packing: as many jobs per cycle as the budget holds
 
 Any layout whose cycle width would exceed the budget is split greedily into
-budget-sized chunks and flagged as degraded. Because job seeds are derived
-from job identity, every layout yields bit-identical results; the plan only
-changes the accounting.
+budget-sized chunks and flagged as degraded. Every layout runs the job ids in
+order, so a plan is closed-form: its base group size and per-cycle cap fix
+every cycle. Because job seeds are derived from job identity, every layout
+yields bit-identical results; the plan only changes the accounting.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import BudgetTooSmall, InvalidEpsilon, PlanJobMismatch
+from .errors import BudgetTooSmall, InvalidArgument, InvalidEpsilon, PlanJobMismatch
 from .hadamard import HadamardJob, sample_hadamard
 
 
@@ -52,48 +53,41 @@ class ResourceModel:
 
 @dataclass(frozen=True)
 class StackingPlan:
+    """A layout in closed form: job ids 0..total_jobs-1 run in order, in base
+    groups of `group` consecutive jobs, each split into cycles of at most
+    `cap` jobs."""
+
     pattern: StackingPattern
     resources: ResourceModel
-    cycles: tuple
-    degraded: bool
-
-    @property
-    def cycle_count(self) -> int:
-        return len(self.cycles)
-
-    @property
-    def width(self) -> int:
-        return max((len(g) for g in self.cycles), default=0) * self.resources.qubits_per_test
+    group: int
+    cap: int
 
     @property
     def total_jobs(self) -> int:
-        return sum(len(g) for g in self.cycles)
+        return self.resources.total_jobs
 
+    @property
+    def cycle_count(self) -> int:
+        full, rest = divmod(self.total_jobs, self.group)
+        return full * -(-self.group // self.cap) + -(-rest // self.cap)
 
-def _split(group: list, cap: int) -> list:
-    return [group[k : k + cap] for k in range(0, len(group), cap)]
+    @property
+    def width(self) -> int:
+        return min(self.group, self.total_jobs, self.cap) * self.resources.qubits_per_test
 
+    @property
+    def degraded(self) -> bool:
+        # BATCH packs to capacity by design; any other layout split by the budget is degraded
+        return self.pattern is not StackingPattern.BATCH and min(self.group, self.total_jobs) > self.cap
 
-def _layout(job_ids: list, row_len: int, pattern: StackingPattern, cap: int):
-    """Base cycle groups for a pattern, then greedy budget splitting."""
-    if pattern is StackingPattern.HORIZONTAL:
-        base = [[j] for j in job_ids]
-    elif pattern is StackingPattern.BALANCED:
-        base = _split(job_ids, max(1, row_len))
-    elif pattern is StackingPattern.VERTICAL:
-        base = [list(job_ids)] if job_ids else []
-    else:  # BATCH packs to capacity by design
-        base = _split(list(job_ids), cap)
-    degraded = False
-    cycles = []
-    for group in base:
-        if len(group) > cap:
-            if pattern is not StackingPattern.BATCH:
-                degraded = True
-            cycles.extend(_split(group, cap))
-        else:
-            cycles.append(group)
-    return cycles, degraded
+    @property
+    def cycles(self):
+        """The job ids of each cycle, in order, as ranges."""
+        n, group, cap = self.total_jobs, self.group, self.cap
+        for base in range(0, n, group):
+            end = min(base + group, n)
+            for start in range(base, end, cap):
+                yield range(start, min(start + cap, end))
 
 
 def plan_jobs(
@@ -111,19 +105,15 @@ def plan_jobs(
             f"budget {qubit_budget} < {q} qubits needed for a single test"
         )
     cap = qubit_budget // q
-    cycles, degraded = _layout(list(range(num_jobs)), row_len, pattern, cap)
-    return StackingPlan(
-        pattern=pattern,
-        resources=resources,
-        cycles=tuple(tuple(g) for g in cycles),
-        degraded=degraded,
-    )
+    group = {StackingPattern.HORIZONTAL: 1, StackingPattern.BALANCED: max(1, row_len),
+             StackingPattern.VERTICAL: max(1, num_jobs), StackingPattern.BATCH: cap}[pattern]
+    return StackingPlan(pattern=pattern, resources=resources, group=group, cap=cap)
 
 
 def plan(n: int, dim: int, pattern: StackingPattern, qubit_budget: int) -> StackingPlan:
     """Plan the N^2 jobs of an N x N matrix product."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidArgument("n must be >= 1")
     return plan_jobs(n * n, n, dim, pattern, qubit_budget)
 
 
@@ -155,16 +145,13 @@ def execute_plan(p: StackingPlan, jobs: list) -> list:
     """
     if len(jobs) != p.total_jobs:
         raise PlanJobMismatch(f"plan holds {p.total_jobs} jobs, buffer has {len(jobs)}")
-    results: list = [None] * len(jobs)
-    for group in p.cycles:
-        for job_id in group:
+    results = []
+    for cycle in p.cycles:
+        for job_id in cycle:
             job = jobs[job_id]
             if not isinstance(job, HadamardJob):
                 raise PlanJobMismatch(f"buffer entry {job_id} is not a HadamardJob")
-            results[job_id] = sample_hadamard(job)
-    for job_id, res in enumerate(results):
-        if res is None:
-            raise PlanJobMismatch(f"job {job_id} missing from plan cycles")
+            results.append(sample_hadamard(job))
     return results
 
 

@@ -11,7 +11,7 @@ one rule, _norm, so encode's sentinel and the row/column norms agree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,62 +115,13 @@ def col_norms(m) -> np.ndarray:
     return _norm(as_matrix(m), axis=0)
 
 
-@dataclass
-class PrepCache:
-    """Memoized state-preparation cache keyed by (matrix identity, axis, index).
+def prepare_all(am: np.ndarray, bm: np.ndarray) -> tuple[list, list]:
+    """Encode every row of A and every column of B, once each.
 
-    Keys use object identity rather than content hashes, so duplicate rows in
-    one matrix occupy distinct entries (one redundant O(N) encode, no
-    floating-point hashing pitfalls). The cache pins a reference to each
-    registered matrix so id() stays stable for its lifetime.
+    Takes arrays that are already validated and shape-checked (matmul's
+    as_matrix results); returns (row_states, col_states), rows(A) + cols(B)
+    encode calls, with zero vectors kept as sentinels.
     """
-
-    _states: dict = field(default_factory=dict)
-    _pinned: dict = field(default_factory=dict)
-    hits: int = 0
-    misses: int = 0
-
-    def __len__(self) -> int:
-        return len(self._states)
-
-    def _key(self, matrix: np.ndarray, axis: str, index: int):
-        self._pinned[id(matrix)] = matrix
-        return (id(matrix), axis, index)
-
-    def get_row(self, matrix: np.ndarray, i: int) -> EncodedState:
-        return self._lookup(matrix, "row", i, lambda: matrix[i, :])
-
-    def get_col(self, matrix: np.ndarray, j: int) -> EncodedState:
-        return self._lookup(matrix, "col", j, lambda: matrix[:, j])
-
-    def _lookup(self, matrix, axis, index, extract) -> EncodedState:
-        key = self._key(matrix, axis, index)
-        state = self._states.get(key)
-        if state is not None:
-            self.hits += 1
-            return state
-        self.misses += 1
-        state = encode(np.ascontiguousarray(extract()))
-        self._states[key] = state
-        return state
-
-
-def prepare_all(a, b, cache: PrepCache | None = None) -> PrepCache:
-    """Encode every row of A and every column of B into the cache.
-
-    Exactly rows(A) + cols(B) encode calls on a cold cache (2N for square
-    inputs); repeat calls on the same arrays are pure hits.
-    """
-    am = as_matrix(a)  # asarray keeps identity for conforming float64 arrays
-    bm = as_matrix(b)
-    if am.shape[1] != bm.shape[0]:
-        raise ShapeMismatch(
-            f"inner dimensions differ: {am.shape} x {bm.shape}"
-        )
-    if cache is None:
-        cache = PrepCache()
-    for i in range(am.shape[0]):
-        cache.get_row(am, i)
-    for j in range(bm.shape[1]):
-        cache.get_col(bm, j)
-    return cache
+    row_states = [encode(np.ascontiguousarray(am[i, :])) for i in range(am.shape[0])]
+    col_states = [encode(np.ascontiguousarray(bm[:, j])) for j in range(bm.shape[1])]
+    return row_states, col_states

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qstacker import checks
+from qstacker import checks, cli
 from qstacker.cli import main
 from qstacker.matio import read_matrix_csv, write_matrix_csv
 
@@ -176,6 +176,43 @@ class TestVerifyCommand:
         assert code == 4
         assert "FAIL pattern invariance: planted" in out.splitlines()
         assert out.count("PASS ") == 4
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ["entropy-sweep", "--families", "bogus"],
+        ["entropy-sweep", "--families", "uniform", "--reps", "1"],
+        ["plan", "--n", "0", "--dim", "4", "--budget", "48"],
+    ])
+    def test_bad_arguments_exit_two(self, argv, tmp_path, capsys):
+        if argv[0] == "entropy-sweep":
+            argv = argv + ["--levels", "3", "--dim", "8", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
+
+    def test_malformed_seed_environment_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setenv("AQ_SEED", "abc")
+        assert main(["verify"]) == 2
+        assert "AQ_SEED" in capsys.readouterr().err
+
+    def test_missing_matrix_file_exits_three(self, tmp_path, capsys):
+        code = main(["matmul", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("data error: ")
+
+    def test_malformed_config_value_exits_three(self, tmp_path, iris_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"shape=4,4,3\nsplit_seed=abc\ndataset={iris_path}\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert "split_seed='abc'" in capsys.readouterr().err
+
+    def test_internal_value_error_propagates(self, monkeypatch):
+        def broken(args):
+            raise ValueError("internal bug")
+
+        monkeypatch.setitem(cli._COMMANDS, "verify", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            main(["verify"])
 
 
 def test_usage_error_exit_code():

@@ -3,10 +3,11 @@ import threading
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qstacker import HadamardJob, derive_seed, encode, job_rng, sample_hadamard
+from qstacker import HadamardJob, MatMulConfig, derive_seed, encode, job_rng, matmul, sample_hadamard
 from qstacker.seeding import job_binomial, splitmix64
 
 seeds = st.integers(min_value=0, max_value=(1 << 64) - 1)
@@ -78,3 +79,25 @@ class TestDeriveSeedArrays:
             seeds3 = derive_seed(9, np.array(xs, dtype=np.uint64), 2, np.uint64(3))
         assert arr.tolist() == [splitmix64(x) for x in xs]
         assert seeds3.tolist() == [derive_seed(9, x, 2, 3) for x in xs]
+
+
+class TestNumpyIntegerMasters:
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint64])
+    @pytest.mark.parametrize("master", [0, 3, 127, -1, -2, -128])
+    def test_equals_the_python_int_seed(self, dtype, master):
+        if master < 0 and dtype is np.uint64:
+            master += 1 << 64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert derive_seed(dtype(master), 1, 2) == derive_seed(master, 1, 2)
+            assert derive_seed(dtype(master)) == derive_seed(master)
+
+    def test_matmul_with_an_int64_seed_equals_the_int_seed(self):
+        rng = np.random.default_rng(23)
+        a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = matmul(a, b, MatMulConfig(shots=1024, seed=np.int64(3)))
+        want = matmul(a, b, MatMulConfig(shots=1024, seed=3))
+        assert np.array_equal(got.c, want.c)
+        assert np.array_equal(got.z_hat, want.z_hat)

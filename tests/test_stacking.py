@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qstacker import (
     HadamardJob,
@@ -15,7 +17,7 @@ from qstacker import (
     sample_hadamard,
 )
 from qstacker.errors import BudgetTooSmall, InvalidEpsilon, PlanJobMismatch
-from qstacker.stacking import plan_to_json
+from qstacker.stacking import ResourceModel, plan_to_json
 
 P = StackingPattern
 
@@ -169,3 +171,51 @@ class TestPlanExport:
         doc = json.loads(plan_to_json(plan(3, 4, P.BALANCED, 9)))
         ids = sorted(j for g in doc["cycles"] for j in g)
         assert ids == list(range(9))
+
+
+def _reference_split(group: list, cap: int) -> list:
+    return [group[k : k + cap] for k in range(0, len(group), cap)]
+
+
+def _reference_layout(job_ids: list, row_len: int, pattern: StackingPattern, cap: int):
+    """The materialized layout the closed-form plan replaced: base cycle
+    groups for a pattern, then greedy budget splitting."""
+    if pattern is StackingPattern.HORIZONTAL:
+        base = [[j] for j in job_ids]
+    elif pattern is StackingPattern.BALANCED:
+        base = _reference_split(job_ids, max(1, row_len))
+    elif pattern is StackingPattern.VERTICAL:
+        base = [list(job_ids)] if job_ids else []
+    else:
+        base = _reference_split(list(job_ids), cap)
+    degraded = False
+    cycles = []
+    for group in base:
+        if len(group) > cap:
+            if pattern is not StackingPattern.BATCH:
+                degraded = True
+            cycles.extend(_reference_split(group, cap))
+        else:
+            cycles.append(group)
+    return cycles, degraded
+
+
+class TestClosedFormPlan:
+    @settings(deadline=None, max_examples=500)
+    @given(
+        num_jobs=st.integers(0, 300),
+        row_len=st.integers(0, 40),
+        dim=st.integers(1, 64),
+        pattern=st.sampled_from(list(P)),
+        extra=st.integers(0, 10**4),
+    )
+    def test_matches_the_materialized_layout(self, num_jobs, row_len, dim, pattern, extra):
+        q = ResourceModel(dim=dim, total_jobs=num_jobs).qubits_per_test
+        budget = min(q + extra, 10**4)
+        p = plan_jobs(num_jobs, row_len, dim, pattern, budget)
+        cycles, degraded = _reference_layout(list(range(num_jobs)), row_len, pattern, budget // q)
+        assert [list(g) for g in p.cycles] == cycles
+        assert p.cycle_count == len(cycles)
+        assert p.width == max((len(g) for g in cycles), default=0) * q
+        assert p.degraded == degraded
+        assert p.total_jobs == sum(len(g) for g in cycles) == num_jobs

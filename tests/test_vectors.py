@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qstacker import EncodedState, PrepCache, col_norms, encode, prepare_all, row_norms
-from qstacker.errors import NonFiniteInput, ParseError, ShapeMismatch, TruncatedFile
+from qstacker import col_norms, encode, row_norms
+from qstacker.errors import NonFiniteInput, ParseError, TruncatedFile
 from qstacker.matio import (
     read_matrix,
     read_matrix_bin,
@@ -12,6 +12,7 @@ from qstacker.matio import (
     write_matrix_bin,
     write_matrix_csv,
 )
+from qstacker.vectors import prepare_all
 
 
 class TestEncode:
@@ -103,44 +104,23 @@ class TestNorms:
             row_norms([[1.0, float("inf")]])
 
 
-class TestPrepCache:
-    def test_cold_cache_two_n_misses(self):
-        rng = np.random.default_rng(11)
-        a, b = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
-        cache = prepare_all(a, b)
-        assert cache.misses == 8
-        assert cache.hits == 0
-        assert len(cache) == 8
-
-    def test_second_call_is_all_hits(self):
-        rng = np.random.default_rng(12)
-        a, b = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
-        cache = prepare_all(a, b)
-        prepare_all(a, b, cache)
-        assert cache.misses == 8
-        assert cache.hits == 8
-
-    def test_duplicate_rows_distinct_entries_equal_content(self):
-        a = np.array([[1.0, 2.0], [1.0, 2.0]])
-        b = np.eye(2)
-        cache = prepare_all(a, b)
-        s0, s1 = cache.get_row(a, 0), cache.get_row(a, 1)
-        assert s0 is not s1
-        assert np.array_equal(s0.amplitudes, s1.amplitudes)
-
-    def test_hit_is_bit_identical_to_fresh_encode(self):
+class TestPrepareAll:
+    def test_states_are_encode_of_each_row_and_column(self):
         rng = np.random.default_rng(13)
-        a, b = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
-        cache = prepare_all(a, b)
-        for i in range(3):
-            fresh = encode(a[i, :])
-            cached = cache.get_row(a, i)
-            assert np.array_equal(cached.amplitudes, fresh.amplitudes)
-            assert cached.source_norm == fresh.source_norm
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            prepare_all(np.eye(3), np.eye(4))
+        a, b = rng.normal(size=(4, 3)), rng.normal(size=(3, 5))
+        a[1] = a[0]  # duplicate rows
+        a[2] = 0.0
+        b[:, 3] = 0.0
+        row_states, col_states = prepare_all(a, b)
+        assert (len(row_states), len(col_states)) == (4, 5)
+        for states, vectors in ((row_states, a), (col_states, b.T)):
+            for state, v in zip(states, vectors):
+                fresh = encode(v)
+                assert np.array_equal(state.amplitudes, fresh.amplitudes)
+                assert state.source_norm == fresh.source_norm
+        assert np.array_equal(row_states[0].amplitudes, row_states[1].amplitudes)
+        assert row_states[2].is_zero and col_states[3].is_zero
+        assert np.array_equal(row_states[2].amplitudes, np.zeros(3))
 
 
 class TestMatrixIO:
