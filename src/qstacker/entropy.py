@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import betainc
-from scipy.stats import chi2
 
 from .errors import (
     ConstantSeries,
@@ -39,6 +38,7 @@ from .errors import (
     InvalidSupport,
     NoCrossing,
     TooFewPoints,
+    as_int,
 )
 from .seeding import derive_seed, job_rng
 from .vectors import EncodedState
@@ -251,7 +251,12 @@ def variance_sweep(
         rep = entropy(dist)
         rng = job_rng(derive_seed(seed, j, 1))
         if pairing is SweepPairing.RESIGNED:
-            taus = rng.integers(0, 2, size=(repetitions, dim)) * 2 - 1
+            # signs built in place: malloc hands a whole-matrix temporary freed
+            # at the top of the heap back to the OS, and the next level faults
+            # it in again (about 750 page faults per 16 levels of 500 x 64)
+            taus = rng.integers(0, 2, size=(repetitions, dim))
+            taus *= 2
+            taus -= 1
             mus = taus @ dist.p  # <psi| V_b |psi> = sum_i p_i tau_bi
         else:
             phi, _ = generate_state(family, dim, derive_seed(seed, j, 2), **shape)
@@ -286,7 +291,13 @@ def variance_sweep(
 def variance_band(repetitions: int, confidence: float = 0.999) -> float:
     """Multiplier m such that a sample variance over R batches stays below
     m times its expectation with the given confidence (chi-square band)."""
-    return float(chi2.ppf(confidence, repetitions) / repetitions)
+    reps = as_int(repetitions, "repetitions", minimum=1)
+    if not (isinstance(confidence, numbers.Real) and 0.0 < confidence < 1.0):
+        raise InvalidArgument(f"confidence must lie in (0, 1), got {confidence!r}")
+    # scipy.stats costs about 0.8 s to import; only this statistic needs it
+    from scipy.stats import chi2
+
+    return float(chi2.ppf(confidence, reps) / reps)
 
 
 @dataclass(frozen=True)
@@ -323,6 +334,9 @@ def pearson(xs, ys) -> CorrelationStats:
         p = 0.0
     else:
         t2 = r * r * nu / denom
+        # scipy.special costs about 0.3 s to import; only this p-value needs it
+        from scipy.special import betainc
+
         p = float(betainc(nu / 2.0, 0.5, nu / (nu + t2)))
     p = min(1.0, max(p, float(np.finfo(np.float64).tiny)))
     return CorrelationStats(r=r, p_value=p, sample_count=m)

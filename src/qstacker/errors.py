@@ -4,6 +4,8 @@ Every error raised by qstacker derives from QStackerError, so callers can
 catch one type at the CLI boundary and map it to an exit code.
 """
 
+import operator
+
 
 class QStackerError(Exception):
     """Base class for all qstacker errors."""
@@ -11,6 +13,21 @@ class QStackerError(Exception):
 
 class InvalidArgument(QStackerError, ValueError):
     """A count or option argument is out of range (shots, repetitions, n...)."""
+
+
+def as_int(value, name: str, minimum: int | None = None) -> int:
+    """value as a Python int (NumPy integers included), at least minimum if given.
+
+    Floats and strings are refused rather than truncated or parsed; anything
+    refused raises InvalidArgument.
+    """
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise InvalidArgument(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and number < minimum:
+        raise InvalidArgument(f"{name} must be >= {minimum}, got {number}")
+    return number
 
 
 class NonFiniteInput(QStackerError):

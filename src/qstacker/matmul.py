@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgument, ShapeMismatch
+from .errors import InvalidArgument, ShapeMismatch, as_int
 from .hadamard import HadamardJob, analytic_overlap, estimate
 from .seeding import derive_seed
 from .stacking import StackingPattern, StackingPlan, execute_plan, plan_jobs
@@ -44,8 +44,8 @@ class MatMulConfig:
     qubit_budget: int | None = None
 
     def __post_init__(self):
-        if self.shots < 1:
-            raise InvalidArgument("shots must be >= 1")
+        object.__setattr__(self, "shots", as_int(self.shots, "shots", minimum=1))
+        object.__setattr__(self, "seed", as_int(self.seed, "seed"))
 
 
 @dataclass

@@ -26,6 +26,7 @@ from .errors import (
     ParseError,
     ShapeMismatch,
     TruncatedFile,
+    as_int,
 )
 from .matmul import MatMulConfig, matmul
 from .seeding import derive_seed, job_rng
@@ -66,6 +67,8 @@ class TrainConfig:
             raise InvalidArgument("batch_size and epochs must be >= 1")
         if self.learning_rate <= 0:
             raise InvalidArgument("learning_rate must be > 0")
+        object.__setattr__(self, "shots", as_int(self.shots, "shots", minimum=1))
+        object.__setattr__(self, "seed", as_int(self.seed, "seed"))
         _check_mode(self.forward_mode)
 
 

@@ -22,6 +22,7 @@ from qstacker.entropy import shannon_entropy, write_sweep_csv
 from qstacker.errors import (
     ConstantSeries,
     InsufficientOverlap,
+    InvalidArgument,
     InvalidDistribution,
     InvalidEntropy,
     InvalidSupport,
@@ -229,6 +230,23 @@ class TestVarianceSweep:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("family,n,H_nats,H_bits,purity,empirical_variance,dividend_bound,shots,repetitions")
         assert len(lines) == 3
+
+
+class TestVarianceBand:
+    def test_value_is_the_chi_square_quantile_over_r(self):
+        from scipy.stats import chi2
+
+        assert variance_band(500, 0.999) == float(chi2.ppf(0.999, 500) / 500)
+        assert variance_band(np.int64(500), 0.999) == variance_band(500, 0.999)
+
+    @pytest.mark.parametrize(
+        "args",
+        [(0, 0.999), (-5, 0.999), (2.5, 0.999), ("500", 0.999),
+         (500, 0.0), (500, 1.0), (500, 1.5), (500, float("nan")), (500, "0.9")],
+    )
+    def test_bad_arguments_raise(self, args):
+        with pytest.raises(InvalidArgument):
+            variance_band(*args)
 
 
 class TestPearson:

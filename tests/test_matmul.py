@@ -6,7 +6,7 @@ import pytest
 from conftest import triple_loop
 
 from qstacker import MatMulConfig, StackingPattern, error_budget, matmul, matvec
-from qstacker.errors import NonFiniteInput, ShapeMismatch
+from qstacker.errors import InvalidArgument, NonFiniteInput, ShapeMismatch
 from qstacker.matmul import summary_dict, write_result_csv, write_summary_json
 
 
@@ -266,6 +266,22 @@ class TestValidation:
         bad = np.array([[1.0, float("nan")], [0.0, 1.0]])
         with pytest.raises(NonFiniteInput):
             matmul(bad, np.eye(2), MatMulConfig(exact=True))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"shots": 2.5}, {"shots": "7"}, {"shots": 0}, {"seed": 1.5}, {"seed": "7"}],
+    )
+    def test_non_integer_or_non_positive_config_is_refused(self, kwargs):
+        with pytest.raises(InvalidArgument):
+            MatMulConfig(**kwargs)
+
+    def test_numpy_integer_shots_match_int(self):
+        rng = np.random.default_rng(43)
+        a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 5))
+        cfg = MatMulConfig(shots=np.int64(1024), seed=np.uint64(9))
+        assert type(cfg.shots) is int and type(cfg.seed) is int
+        want = matmul(a, b, MatMulConfig(shots=1024, seed=9)).c
+        assert np.array_equal(matmul(a, b, cfg).c, want)
 
 
 class TestSerialization:

@@ -15,6 +15,7 @@ from qstacker import (
 )
 from qstacker.errors import (
     EmptyDataset,
+    InvalidArgument,
     MagicMismatch,
     ParseError,
     ShapeMismatch,
@@ -114,6 +115,21 @@ class TestGradients:
                     num[idx] = (lp - lm) / (2 * h)
                 rel = np.linalg.norm(dw - num) / max(np.linalg.norm(dw), np.linalg.norm(num))
                 assert rel <= 1e-5
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"shots": 2.5}, {"shots": "7"}, {"shots": 0}, {"seed": 1.5}, {"seed": "7"}],
+    )
+    def test_bad_shots_or_seed_refused_at_construction(self, kwargs):
+        with pytest.raises(InvalidArgument):
+            TrainConfig(shape=NetworkShape(4, 4, 3), **kwargs)
+
+    def test_numpy_integers_become_ints(self):
+        cfg = TrainConfig(shape=NetworkShape(4, 4, 3), shots=np.int64(64), seed=np.int32(-3))
+        assert (cfg.shots, cfg.seed) == (64, -3)
+        assert type(cfg.shots) is int and type(cfg.seed) is int
 
 
 class TestTrain:
