@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -34,21 +35,13 @@ from .matmul import (
     write_result_csv,
     write_summary_json,
 )
-from .errors import (
-    BudgetTooSmall,
-    InvalidArgument,
-    InvalidSupport,
-    ParseError,
-    QStackerError,
-)
+from .errors import InvalidArgument, QStackerError, as_int
 from .seeding import derive_seed
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_VERIFY = 4
-
-_USAGE_ERRORS = (BudgetTooSmall, InvalidSupport, InvalidArgument)
 
 
 def _default_seed() -> int:
@@ -58,17 +51,10 @@ def _default_seed() -> int:
         raise InvalidArgument(f"AQ_SEED: {exc}") from None
 
 
-def _config_int(raw: dict, key: str, default: int | None = None) -> int | None:
-    """An integer run-file value; a malformed one is a data error."""
-    try:
-        return int(raw[key]) if key in raw else default
-    except ValueError:
-        raise ParseError(f"bad train config: {key}={raw[key]!r}") from None
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, out: bool = True) -> None:
     p.add_argument("--seed", type=int, default=None, help="master seed (default: $AQ_SEED or 0)")
-    p.add_argument("--out", type=Path, default=Path("."), help="output directory")
+    if out:
+        p.add_argument("--out", type=Path, default=Path("."), help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,11 +93,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("verify", help="run the built-in verification suite")
-    _add_common(p)
+    _add_common(p, out=False)
     return parser
 
 
 def _sweep_levels(family: StateFamily, count: int, dim: int):
+    count = as_int(count, "levels", minimum=3)  # each family's correlation needs three points
+    dim = as_int(dim, "dim", minimum=1)  # generate_state refuses dim 1 with InvalidSupport
     if family is StateFamily.INTERPOLATED:
         return list(np.linspace(0.0, 1.0, count))
     if family in (StateFamily.UNIFORM, StateFamily.EXPONENTIAL, StateFamily.CHI_SQUARE):
@@ -173,14 +161,11 @@ def cmd_entropy_sweep(args) -> int:
         all_records.extend(records)
     write_sweep_csv(all_records, args.out / "sweep.csv")
     crossings = []
-    names = list(sweeps)
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            try:
-                cp = crossing_point(sweeps[names[i]], sweeps[names[j]])
-            except QStackerError:
-                continue
-            crossings.append(((names[i], names[j]), cp))
+    for a, b in itertools.combinations(sweeps, 2):
+        try:
+            crossings.append(((a, b), crossing_point(sweeps[a], sweeps[b])))
+        except QStackerError:
+            pass
     summary = correlation_summary(sweeps, crossings)
     write_correlation_json(summary, args.out / "correlation.json")
     print(json.dumps(summary))
@@ -188,27 +173,10 @@ def cmd_entropy_sweep(args) -> int:
 
 
 def cmd_train(args) -> int:
-    raw = nn.parse_train_config(args.config)
-    cfg = nn.train_config_from_dict(raw)
+    cfg, data = nn.load_run(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    split_seed = _config_int(raw, "split_seed", 1234)
-    if "dataset" in raw:
-        data = nn.ingest_iris(raw["dataset"], split_seed=split_seed)
-    elif "mnist_images" in raw and "mnist_labels" in raw:
-        features, labels = nn.ingest_mnist_idx(
-            raw["mnist_images"],
-            raw["mnist_labels"],
-            downsample=_config_int(raw, "downsample", 1),
-            limit=_config_int(raw, "limit"),
-        )
-        counts = None
-        if "train_count" in raw and "test_count" in raw:
-            counts = (_config_int(raw, "train_count"), _config_int(raw, "test_count"))
-        data = nn.split_dataset(features, labels, split_seed, counts=counts)
-    else:
-        raise ParseError("config needs dataset=<iris csv> or mnist_images=/mnist_labels=")
-    model, report = nn.train(data, cfg)
+    _, report = nn.train(data, cfg)
     args.out.mkdir(parents=True, exist_ok=True)
     nn.write_train_report_json(report, args.out / "train_report.json")
     nn.write_epoch_csv(report, args.out / "train_epochs.csv")
@@ -257,7 +225,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except _USAGE_ERRORS as exc:
+    except InvalidArgument as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, QStackerError) as exc:

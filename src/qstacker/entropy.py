@@ -104,32 +104,24 @@ def dividend_bound(h_nats: float, shots: int) -> float:
     """Upper bound (1 - e^{-H})/S on the effective estimator variance."""
     if h_nats < 0.0:
         raise InvalidEntropy(f"entropy must be >= 0, got {h_nats}")
-    if shots < 1:
-        raise InvalidArgument("shots must be >= 1")
-    return (1.0 - math.exp(-h_nats)) / shots
+    return (1.0 - math.exp(-h_nats)) / as_int(shots, "shots", minimum=1)
 
 
-def adaptive_shots(
-    h_nats: float,
-    h_max: float,
-    epsilon: float,
-    s_max: int,
-    s_base: int | None = None,
-) -> int:
-    """Entropy-scaled shot budget: S = min(s_max, ceil(s_base * e^{Hmax - H})).
+def adaptive_shots(h_nats: float, h_max: float, epsilon: float, s_max: int) -> int:
+    """Entropy-scaled shot budget: S = min(s_max, ceil(s_base * e^{Hmax - H}))
+    with s_base = ceil(1/epsilon^2).
 
     High-entropy states suppress estimator dispersion, so they earn fewer
     shots; the proportionality constant is fixed at 1 and s_max caps the
     low-entropy blow-up.
     """
+    s_max = as_int(s_max, "s_max", minimum=1)
     if not (0.0 < epsilon < 1.0):
         raise InvalidEpsilon(f"epsilon must be in (0, 1), got {epsilon}")
     if h_nats < 0.0 or h_nats > h_max + 1e-12:
         raise InvalidEntropy(f"entropy {h_nats} outside [0, {h_max}]")
-    if s_base is None:
-        s_base = math.ceil(1.0 / epsilon**2)
     scale = math.exp(max(0.0, h_max - h_nats))
-    raw = s_base * scale
+    raw = math.ceil(1.0 / epsilon**2) * scale
     # guard against 1-ulp excursions above exact integer values
     return int(min(s_max, math.ceil(raw - raw * 1e-12)))
 
@@ -158,6 +150,7 @@ def generate_state(
     ln n. Amplitudes are sqrt(p_i) with random signs.
     """
     family = StateFamily(family)
+    n = as_int(n, "n")
     if n < 2:
         raise InvalidSupport(f"need support size >= 2, got n={n}")
     rng = job_rng(seed)
@@ -170,8 +163,9 @@ def generate_state(
         p[:] = t / n
         p[0] += 1.0 - t
     else:
-        m = support
-        if m is None:
+        if support is not None:
+            m = as_int(support, "support")
+        else:
             m = int(rng.integers(1, n + 1)) if family is StateFamily.UNIFORM else n
         if not (1 <= m <= n):
             raise InvalidSupport(f"support {m} outside [1, {n}]")
@@ -241,12 +235,12 @@ def variance_sweep(
     """
     family = StateFamily(family)
     pairing = SweepPairing(pairing)
-    if repetitions < 2:
-        raise InvalidArgument("repetitions must be >= 2")
+    shots = as_int(shots, "shots", minimum=1)
+    repetitions = as_int(repetitions, "repetitions", minimum=2)
     records = []
     for j, level in enumerate(levels):
         # the interpolated family is swept by t, every other family by support size
-        shape = {"t": float(level)} if family is StateFamily.INTERPOLATED else {"support": int(level)}
+        shape = {"t": float(level)} if family is StateFamily.INTERPOLATED else {"support": level}
         psi, dist = generate_state(family, dim, derive_seed(seed, j), **shape)
         rep = entropy(dist)
         rng = job_rng(derive_seed(seed, j, 1))
@@ -361,11 +355,11 @@ def _isotonic_decreasing(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return fit
 
 
-def _sweep_points(sweep, value: str):
+def _sweep_points(sweep):
     pts = []
     for item in sweep:
         if isinstance(item, SweepRecord):
-            pts.append((item.entropy_nats, getattr(item, value)))
+            pts.append((item.entropy_nats, item.total_variance))
         else:
             h, v = item
             pts.append((float(h), float(v)))
@@ -384,17 +378,18 @@ class CrossingPoint:
     crossings_nats: tuple
 
 
-def crossing_point(sweep_a, sweep_b, value: str = "total_variance") -> CrossingPoint:
+def crossing_point(sweep_a, sweep_b) -> CrossingPoint:
     """Intersect two monotone variance-vs-entropy fits.
 
-    Each sweep is smoothed with a non-increasing piecewise-linear least
-    squares fit; the fits are compared on a dense grid over the shared
+    Each sweep is a list of SweepRecords (their total_variance) or of
+    (entropy, variance) pairs, smoothed with a non-increasing piecewise-linear
+    least squares fit; the fits are compared on a dense grid over the shared
     entropy interval. Stretches where the fits coincide do not count as
     crossings; the reported abscissa is the last sign change, after which
     the curve ordering persists to the end of the overlap.
     """
-    xa, ya = _sweep_points(sweep_a, value)
-    xb, yb = _sweep_points(sweep_b, value)
+    xa, ya = _sweep_points(sweep_a)
+    xb, yb = _sweep_points(sweep_b)
     if len(xa) < 2 or len(xb) < 2:
         raise InsufficientOverlap("each sweep needs at least two entropy levels")
     lo = max(xa.min(), xb.min())
@@ -455,8 +450,7 @@ def concentration_check(
     random sign-diagonal unitary (|V_ii| = 1)."""
     if not isinstance(dist, ProbDist):
         dist = ProbDist(np.asarray(dist, dtype=np.float64))
-    if trials < 2:
-        raise InvalidArgument("trials must be >= 2")
+    trials = as_int(trials, "trials", minimum=2)
     rng = job_rng(seed)
     signs = rng.integers(0, 2, size=(trials, dist.n)) * 2 - 1
     mus = signs @ dist.p
@@ -473,47 +467,31 @@ def concentration_check(
     )
 
 
-SWEEP_CSV_COLUMNS = [
-    "family",
-    "n",
-    "H_nats",
-    "H_bits",
-    "purity",
-    "empirical_variance",
-    "dividend_bound",
-    "shots",
-    "repetitions",
-    "support",
-    "overlap_variance",
-    "total_variance",
-    "pairing",
-]
+# (header, SweepRecord field) for each sweep.csv column, in file order
+SWEEP_CSV_COLUMNS = (
+    ("family", "family"),
+    ("n", "dim"),
+    ("H_nats", "entropy_nats"),
+    ("H_bits", "entropy_bits"),
+    ("purity", "purity"),
+    ("empirical_variance", "empirical_variance"),
+    ("dividend_bound", "dividend_bound"),
+    ("shots", "shots"),
+    ("repetitions", "repetitions"),
+    ("support", "support"),
+    ("overlap_variance", "overlap_variance"),
+    ("total_variance", "total_variance"),
+    ("pairing", "pairing"),
+)
 
 
 def write_sweep_csv(records: list[SweepRecord], path) -> None:
+    """One line per record; floats as repr, so they read back exactly."""
     with open(path, "w") as fh:
-        fh.write(",".join(SWEEP_CSV_COLUMNS) + "\n")
+        fh.write(",".join(header for header, _ in SWEEP_CSV_COLUMNS) + "\n")
         for r in records:
-            fh.write(
-                ",".join(
-                    [
-                        r.family,
-                        str(r.dim),
-                        repr(r.entropy_nats),
-                        repr(r.entropy_bits),
-                        repr(r.purity),
-                        repr(r.empirical_variance),
-                        repr(r.dividend_bound),
-                        str(r.shots),
-                        str(r.repetitions),
-                        str(r.support),
-                        repr(r.overlap_variance),
-                        repr(r.total_variance),
-                        r.pairing,
-                    ]
-                )
-                + "\n"
-            )
+            values = (getattr(r, name) for _, name in SWEEP_CSV_COLUMNS)
+            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in values) + "\n")
 
 
 def correlation_summary(sweeps_by_family: dict, crossings: list | None = None) -> dict:

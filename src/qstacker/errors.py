@@ -1,7 +1,9 @@
 """Exception taxonomy shared across the library.
 
 Every error raised by qstacker derives from QStackerError, so callers can
-catch one type at the CLI boundary and map it to an exit code.
+catch one type at the CLI boundary and map it to an exit code. A caller's bad
+argument is an InvalidArgument (usage error); every other QStackerError is a
+data error.
 """
 
 import operator
@@ -54,7 +56,7 @@ class DimTooLarge(QStackerError):
     """State too large for explicit statevector verification."""
 
 
-class BudgetTooSmall(QStackerError):
+class BudgetTooSmall(InvalidArgument):
     """Qubit budget cannot hold even a single Hadamard test."""
 
 
@@ -70,7 +72,7 @@ class InvalidDistribution(QStackerError):
     """Probabilities are negative or do not sum to one."""
 
 
-class InvalidSupport(QStackerError):
+class InvalidSupport(InvalidArgument):
     """Requested support size is out of range for the state family."""
 
 

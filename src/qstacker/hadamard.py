@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, DimNotPowerOfTwo, DimTooLarge, InvalidArgument, ZeroState
+from .errors import DimMismatch, DimNotPowerOfTwo, DimTooLarge, ZeroState, as_int
 from .seeding import job_binomial
 from .vectors import EncodedState
 
@@ -41,8 +41,7 @@ class HadamardJob:
     def __post_init__(self):
         if self.psi.dim != self.phi.dim:
             raise DimMismatch(f"{self.psi.dim} != {self.phi.dim}")
-        if self.shots < 1:
-            raise InvalidArgument("shots must be >= 1")
+        object.__setattr__(self, "shots", as_int(self.shots, "shots", minimum=1))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgument, ShapeMismatch, as_int
+from .errors import ShapeMismatch, as_int
 from .hadamard import HadamardJob, analytic_overlap, estimate
 from .seeding import derive_seed
 from .stacking import StackingPattern, StackingPlan, execute_plan, plan_jobs
@@ -46,6 +46,8 @@ class MatMulConfig:
     def __post_init__(self):
         object.__setattr__(self, "shots", as_int(self.shots, "shots", minimum=1))
         object.__setattr__(self, "seed", as_int(self.seed, "seed"))
+        if self.qubit_budget is not None:
+            object.__setattr__(self, "qubit_budget", as_int(self.qubit_budget, "qubit_budget"))
 
 
 @dataclass
@@ -144,8 +146,7 @@ def error_budget(norm_product: float, shots: int, mu: float | None = None) -> fl
     With the overlap unknown, returns the ceiling norm_product/sqrt(S);
     given mu, the exact norm_product * sqrt((1 - mu^2)/S).
     """
-    if shots < 1:
-        raise InvalidArgument("shots must be >= 1")
+    shots = as_int(shots, "shots", minimum=1)
     if norm_product == 0.0:
         return 0.0
     if mu is None:

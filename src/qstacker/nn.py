@@ -48,6 +48,8 @@ class NetworkShape:
     outputs: int
 
     def __post_init__(self):
+        for name in ("inputs", "hidden", "outputs"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if min(self.inputs, self.hidden, self.outputs) < 1:
             raise ShapeMismatch(f"layer widths must be >= 1, got {self}")
 
@@ -63,12 +65,11 @@ class TrainConfig:
     forward_mode: str = QUANTUM
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.epochs < 1:
-            raise InvalidArgument("batch_size and epochs must be >= 1")
+        for name in ("batch_size", "epochs", "shots"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name, minimum=1))
+        object.__setattr__(self, "seed", as_int(self.seed, "seed"))
         if self.learning_rate <= 0:
             raise InvalidArgument("learning_rate must be > 0")
-        object.__setattr__(self, "shots", as_int(self.shots, "shots", minimum=1))
-        object.__setattr__(self, "seed", as_int(self.seed, "seed"))
         _check_mode(self.forward_mode)
 
 
@@ -186,10 +187,9 @@ def evaluate(
     mode: str = CLASSICAL,
     shots: int = 16384,
     seed: int = 0,
-    indices: np.ndarray | None = None,
 ) -> float:
-    """Argmax-logit accuracy on the test split (or explicit indices)."""
-    idx = data.test_idx if indices is None else indices
+    """Argmax-logit accuracy on the test split."""
+    idx = data.test_idx
     if len(idx) == 0:
         raise EmptyDataset("no evaluation samples")
     logits, _, _ = forward(model, data.features[idx], mode=mode, shots=shots, seed=seed)
@@ -254,6 +254,7 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[Model, TrainReport]:
 
 
 _TRAIN_FRACTION = 0.8  # per class, in the stratified split
+SPLIT_SEED = 1234  # default split seed, of ingest_iris and of run files
 
 
 def split_dataset(
@@ -271,7 +272,8 @@ def split_dataset(
         raise EmptyDataset("features and labels must be nonempty and aligned")
     n_classes = int(labels.max()) + 1
     if counts is not None:
-        n_train, n_test = counts
+        n_train = as_int(counts[0], "train_count", minimum=0)
+        n_test = as_int(counts[1], "test_count", minimum=0)
         if n_train + n_test > len(labels):
             raise EmptyDataset(
                 f"requested {n_train}+{n_test} samples from {len(labels)}"
@@ -298,7 +300,7 @@ def split_dataset(
     )
 
 
-def ingest_iris(path, split_seed: int = 1234) -> Dataset:
+def ingest_iris(path, split_seed: int = SPLIT_SEED) -> Dataset:
     """IRIS CSV: four float features plus a string label per line.
 
     Labels map to {0, 1, 2} in sorted order; feature columns are
@@ -353,7 +355,7 @@ def _read_idx(path, magic: int, header_dims: int) -> tuple[tuple, np.ndarray]:
 
 def _avg_pool(images: np.ndarray, factor: int) -> np.ndarray:
     n, r, c = images.shape
-    if factor < 1 or r % factor or c % factor:
+    if r % factor or c % factor:
         raise ParseError(f"pooling factor {factor} does not divide {r}x{c}")
     return images.reshape(n, r // factor, factor, c // factor, factor).mean(axis=(2, 4))
 
@@ -374,15 +376,31 @@ def ingest_mnist_idx(
     images = pixels.reshape(n_img, rows, cols).astype(np.float64) / 255.0
     labels = label_bytes.astype(np.int64)
     if limit is not None:
-        images = images[:limit]
-        labels = labels[:limit]
-    if downsample and downsample > 1:
+        limit = as_int(limit, "limit", minimum=1)
+        images, labels = images[:limit], labels[:limit]
+    if as_int(downsample, "downsample", minimum=1) > 1:
         images = _avg_pool(images, downsample)
     return images.reshape(images.shape[0], -1), labels
 
 
 # ---------------------------------------------------------------------------
-# run configuration and report persistence
+# run files and report persistence
+
+# run-file key -> (TrainConfig field, parser of its text); an absent key keeps
+# the field's default
+_CONFIG_KEYS = {
+    "batch": ("batch_size", int),
+    "lr": ("learning_rate", float),
+    "epochs": ("epochs", int),
+    "shots": ("shots", int),
+    "seed": ("seed", int),
+    "mode": ("forward_mode", str.lower),
+}
+_TRAIN_KEYS = frozenset({"shape", *_CONFIG_KEYS})
+# dataset keys per source: an IRIS CSV, or an IDX image/label pair
+_IRIS_KEYS = frozenset({"dataset", "split_seed"})
+_IDX_INTS = ("downsample", "limit", "train_count", "test_count")
+_IDX_KEYS = frozenset({"mnist_images", "mnist_labels", "split_seed", *_IDX_INTS})
 
 
 def parse_train_config(path) -> dict:
@@ -399,24 +417,53 @@ def parse_train_config(path) -> dict:
     return out
 
 
+def _value(raw: dict, key: str, parse):
+    try:
+        return parse(raw[key])
+    except ValueError:
+        raise ParseError(f"bad train config: {key}={raw[key]!r}") from None
+
+
 def train_config_from_dict(raw: dict) -> TrainConfig:
+    """The TrainConfig of a parsed run file; other keys are not looked at."""
     if raw.get("exact", "false").lower() in ("1", "true", "yes"):
         raise ParseError("exact is not a run-file key; mode=classical runs the exact path")
+    if "shape" not in raw:
+        raise ParseError("bad train config: missing shape=<inputs>,<hidden>,<outputs>")
+    widths = _value(raw, "shape", lambda text: tuple(int(tok) for tok in text.split(",")))
+    if len(widths) != 3:
+        raise ParseError(f"shape needs 3 widths, got {raw['shape']!r}")
+    fields = {name: _value(raw, key, parse) for key, (name, parse) in _CONFIG_KEYS.items() if key in raw}
+    return TrainConfig(shape=NetworkShape(*widths), **fields)
+
+
+def load_run(path) -> tuple[TrainConfig, Dataset]:
+    """A run file's TrainConfig and Dataset. An absent key keeps its default;
+    a key this run does not read, half of the train_count/test_count pair, or
+    a value its consumer refuses is a ParseError."""
+    raw = parse_train_config(path)
     try:
-        shape = tuple(int(tok) for tok in raw["shape"].split(","))
-        if len(shape) != 3:
-            raise ParseError(f"shape needs 3 widths, got {raw['shape']!r}")
-        return TrainConfig(
-            shape=NetworkShape(*shape),
-            batch_size=int(raw.get("batch", 10)),
-            learning_rate=float(raw.get("lr", 0.01)),
-            epochs=int(raw.get("epochs", 250)),
-            shots=int(raw.get("shots", 16384)),
-            seed=int(raw.get("seed", 0)),
-            forward_mode=raw.get("mode", QUANTUM).lower(),
-        )
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"bad train config: {exc}") from exc
+        cfg = train_config_from_dict(raw)
+        if "dataset" in raw:
+            source = _IRIS_KEYS
+        elif "mnist_images" in raw and "mnist_labels" in raw:
+            source = _IDX_KEYS
+        else:
+            raise ParseError("config needs dataset=<iris csv> or mnist_images=/mnist_labels=")
+        unread = sorted(raw.keys() - _TRAIN_KEYS - source)
+        if unread:
+            raise ParseError(f"{path}: run-file key(s) not read by this run: {', '.join(unread)}")
+        if ("train_count" in raw) != ("test_count" in raw):
+            raise ParseError(f"{path}: train_count and test_count must be given together")
+        ints = {key: _value(raw, key, int) for key in ("split_seed", *_IDX_INTS) if key in raw}
+        split_seed = ints.pop("split_seed", SPLIT_SEED)
+        if source is _IRIS_KEYS:
+            return cfg, ingest_iris(raw["dataset"], split_seed)
+        counts = (ints.pop("train_count"), ints.pop("test_count")) if "train_count" in ints else None
+        features, labels = ingest_mnist_idx(raw["mnist_images"], raw["mnist_labels"], **ints)
+        return cfg, split_dataset(features, labels, split_seed, counts=counts)
+    except InvalidArgument as exc:
+        raise ParseError(f"bad train config: {exc}") from None
 
 
 def write_train_report_json(report: TrainReport, path) -> None:

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import BudgetTooSmall, InvalidArgument, InvalidEpsilon, PlanJobMismatch
+from .errors import BudgetTooSmall, InvalidEpsilon, PlanJobMismatch, as_int
 from .hadamard import HadamardJob, sample_hadamard
 
 
@@ -98,7 +98,10 @@ def plan_jobs(
     qubit_budget: int,
 ) -> StackingPlan:
     """Plan an arbitrary job buffer; row_len defines the balanced grouping."""
-    resources = ResourceModel(dim=dim, total_jobs=num_jobs)
+    num_jobs = as_int(num_jobs, "num_jobs", minimum=0)
+    row_len = as_int(row_len, "row_len", minimum=0)
+    qubit_budget = as_int(qubit_budget, "qubit_budget")
+    resources = ResourceModel(dim=as_int(dim, "dim", minimum=1), total_jobs=num_jobs)
     q = resources.qubits_per_test
     if qubit_budget < q:
         raise BudgetTooSmall(
@@ -112,8 +115,7 @@ def plan_jobs(
 
 def plan(n: int, dim: int, pattern: StackingPattern, qubit_budget: int) -> StackingPlan:
     """Plan the N^2 jobs of an N x N matrix product."""
-    if n < 1:
-        raise InvalidArgument("n must be >= 1")
+    n = as_int(n, "n", minimum=1)
     return plan_jobs(n * n, n, dim, pattern, qubit_budget)
 
 

@@ -10,6 +10,7 @@ import math
 import statistics
 
 import numpy as np
+import pytest
 from conftest import triple_loop
 
 from qstacker import (
@@ -90,6 +91,7 @@ def test_criterion_06_planner_formulas():
     report(6, "planner formulas", ok, "cycle counts (N^2, N, 1) and widths exact for N in 1..32")
 
 
+@pytest.mark.slow
 def test_criterion_07_purity_renyi_inequality():
     report(7, "purity/Renyi inequality", *checks.entropy_inequalities(MASTER, 20000))
 
@@ -203,6 +205,7 @@ def _iris_accuracy(mode, seed):
     return rep.final_accuracy
 
 
+@pytest.mark.slow
 def test_criterion_12_iris_benchmark():
     seeds = [derive_seed(MASTER, 12, k) for k in range(3)]
     classical = [_iris_accuracy(CLASSICAL, s) for s in seeds]
@@ -219,6 +222,7 @@ def test_criterion_12_iris_benchmark():
            f"quantum={[f'{a:.3f}' for a in quantum]} classical={[f'{a:.3f}' for a in classical]}")
 
 
+@pytest.mark.slow
 def test_criterion_13_mnist_downscaled(mnist_idx_files):
     images, labels = mnist_idx_files
     features, y = ingest_mnist_idx(images, labels, downsample=2, limit=700)

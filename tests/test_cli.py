@@ -183,6 +183,8 @@ class TestExitCodes:
         ["entropy-sweep", "--families", "bogus"],
         ["entropy-sweep", "--families", "uniform", "--reps", "1"],
         ["plan", "--n", "0", "--dim", "4", "--budget", "48"],
+        ["plan", "--n", "2", "--dim", "0", "--budget", "48"],
+        ["entropy-sweep", "--families", "uniform", "--shots", "0"],
     ])
     def test_bad_arguments_exit_two(self, argv, tmp_path, capsys):
         if argv[0] == "entropy-sweep":
@@ -213,6 +215,41 @@ class TestExitCodes:
         monkeypatch.setitem(cli._COMMANDS, "verify", broken)
         with pytest.raises(ValueError, match="internal bug"):
             main(["verify"])
+
+
+class TestRunFileAndFlagErrors:
+    @pytest.mark.parametrize("lines, key", [
+        ("epoch=3\n", "epoch"),
+        ("train_count=5\n", "train_count"),
+    ])
+    def test_unread_config_key_exits_three(self, tmp_path, iris_path, capsys, lines, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"shape=4,4,3\n{lines}dataset={iris_path}\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and key in err
+
+    def test_half_count_pair_exits_three(self, tmp_path, mnist_idx_files, capsys):
+        images, labels = mnist_idx_files
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"shape=784,8,10\nmnist_images={images}\nmnist_labels={labels}\ntrain_count=5\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert "train_count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["entropy-sweep", "--dim", "0"],
+        ["entropy-sweep", "--levels", "0"],
+        ["entropy-sweep", "--levels", "2"],
+    ])
+    def test_sweep_sizes_exit_two(self, argv, tmp_path, capsys):
+        assert main(argv + ["--families", "uniform", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
+
+    def test_verify_takes_no_out_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--out", "x"])
+        assert exc.value.code == 2
+        capsys.readouterr()
 
 
 def test_usage_error_exit_code():

@@ -231,6 +231,25 @@ class TestVarianceSweep:
         assert lines[0].startswith("family,n,H_nats,H_bits,purity,empirical_variance,dividend_bound,shots,repetitions")
         assert len(lines) == 3
 
+    def test_sweep_csv_rows_are_the_record_fields(self, tmp_path):
+        # the row layout, written out by hand: header order, repr floats, str ints
+        records = variance_sweep(
+            StateFamily.UNIFORM, [2, 5], dim=np.int64(8), shots=256, repetitions=20, seed=78,
+            pairing=SweepPairing.INDEPENDENT,
+        )
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(records, path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == ("family,n,H_nats,H_bits,purity,empirical_variance,dividend_bound,shots,"
+                            "repetitions,support,overlap_variance,total_variance,pairing")
+        for r, line in zip(records, lines[1:], strict=True):
+            assert line == (
+                f"{r.family},{r.dim},{r.entropy_nats!r},{r.entropy_bits!r},{r.purity!r},"
+                f"{r.empirical_variance!r},{r.dividend_bound!r},{r.shots},{r.repetitions},"
+                f"{r.support},{r.overlap_variance!r},{r.total_variance!r},{r.pairing}"
+            )
+        assert lines[1].startswith("uniform,8,")
+
 
 class TestVarianceBand:
     def test_value_is_the_chi_square_quantile_over_r(self):

@@ -1,3 +1,7 @@
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +17,7 @@ from qstacker import (
     init_model,
     train,
 )
+from qstacker import nn
 from qstacker.errors import (
     EmptyDataset,
     InvalidArgument,
@@ -24,7 +29,9 @@ from qstacker.errors import (
 from qstacker.nn import (
     CLASSICAL,
     QUANTUM,
+    SPLIT_SEED,
     _loss_and_grads,
+    load_run,
     parse_train_config,
     sigmoid,
     split_dataset,
@@ -188,6 +195,7 @@ class TestTrain:
             train(data, TrainConfig(shape=NetworkShape(4, 2, 2)))
 
 
+@pytest.mark.slow
 class TestNoiseRobustnessTrend:
     def test_iris_accuracy_non_decreasing_in_shots(self, iris_path):
         # paired design: each seed shares one split and init across shot
@@ -343,3 +351,75 @@ class TestRunConfig:
         # not silently sample
         with pytest.raises(ParseError, match="mode=classical"):
             train_config_from_dict({"shape": "4,4,3", "mode": "quantum", "exact": "true"})
+
+    def test_shape_alone_keeps_every_train_config_default(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("shape=4,4,3\n")
+        cfg = train_config_from_dict(parse_train_config(cfg_file))
+        expected = TrainConfig(NetworkShape(4, 4, 3))
+        for f in dataclasses.fields(TrainConfig):
+            assert repr(getattr(cfg, f.name)) == repr(getattr(expected, f.name)), f.name
+
+    def test_load_run_iris(self, tmp_path, iris_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"shape=4,4,3\nepochs=3\nmode=classical\ndataset={iris_path}\n")
+        cfg, data = load_run(cfg_file)
+        assert cfg == TrainConfig(NetworkShape(4, 4, 3), epochs=3, forward_mode=CLASSICAL)
+        expected = ingest_iris(iris_path, split_seed=SPLIT_SEED)
+        assert data.split_seed == SPLIT_SEED
+        assert np.array_equal(data.train_idx, expected.train_idx)
+        assert np.array_equal(data.features, expected.features)
+
+    def test_load_run_idx_pair(self, tmp_path, mnist_idx_files):
+        images, labels = mnist_idx_files
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(
+            f"shape=196,8,10\nmnist_images={images}\nmnist_labels={labels}\n"
+            "downsample=2\nlimit=60\ntrain_count=40\ntest_count=20\nsplit_seed=9\n"
+        )
+        _, data = load_run(cfg_file)
+        features, _ = ingest_mnist_idx(images, labels, downsample=2, limit=60)
+        assert np.array_equal(data.features, features)
+        assert data.train_idx.tolist() == list(range(40))
+        assert data.test_idx.tolist() == list(range(40, 60))
+        assert data.split_seed == 9
+
+    @pytest.mark.parametrize("extra, key", [
+        ("epoch=3", "epoch"),              # misspelt
+        ("exact=false", "exact"),          # not a key
+        ("downsample=2", "downsample"),    # IDX key in an IRIS run
+        ("train_count=5", "train_count"),
+    ])
+    def test_key_the_run_does_not_read_is_refused(self, tmp_path, iris_path, extra, key):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"shape=4,4,3\n{extra}\ndataset={iris_path}\n")
+        with pytest.raises(ParseError, match=key):
+            load_run(cfg_file)
+
+    @pytest.mark.parametrize("half", ["train_count=40", "test_count=20"])
+    def test_half_a_count_pair_is_refused(self, tmp_path, mnist_idx_files, half):
+        images, labels = mnist_idx_files
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"shape=784,8,10\nmnist_images={images}\nmnist_labels={labels}\n{half}\n")
+        with pytest.raises(ParseError, match=half.split("=")[0]):
+            load_run(cfg_file)
+
+    @pytest.mark.parametrize("line", ["epochs=0", "mode=sampled", "limit=0", "batch=2.5"])
+    def test_refused_value_is_a_parse_error(self, tmp_path, mnist_idx_files, line):
+        images, labels = mnist_idx_files
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"shape=784,8,10\nmnist_images={images}\nmnist_labels={labels}\n{line}\n")
+        with pytest.raises(ParseError):
+            load_run(cfg_file)
+
+
+def test_readme_lists_every_run_file_key_with_its_default():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    rows = {key: row.rsplit("|", 2)[1].strip()
+            for row in re.findall(r"^  \| `.*$", readme, flags=re.M)
+            for key in re.findall(r"`(\w+)`", row.split("|")[1])}
+    assert set(rows) == nn._TRAIN_KEYS | nn._IRIS_KEYS | nn._IDX_KEYS
+    defaults = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+    for key, (name, _) in nn._CONFIG_KEYS.items():
+        assert rows[key] == str(defaults[name]), key
+    assert rows["split_seed"] == str(nn.SPLIT_SEED)
