@@ -13,10 +13,10 @@ import math
 import numpy as np
 
 from .entropy import StateFamily, entropy, generate_state
-from .hadamard import HadamardJob, analytic_overlap, circuit_verify, estimate, sample_hadamard
+from .hadamard import analytic_overlap, circuit_verify
 from .matmul import MatMulConfig, matmul
 from .seeding import derive_seed
-from .stacking import StackingPattern, execute_plan, plan
+from .stacking import StackingPattern
 from .vectors import encode
 
 
@@ -37,7 +37,9 @@ def circuit_fidelity(master: int) -> tuple[bool, str]:
 
 
 def estimator_law(master: int) -> tuple[bool, str]:
-    """Criterion 2: z_hat has mean mu (4 sigma) and variance (1 - mu^2)/S (ratio in [0.8, 1.2])."""
+    """Criterion 2: z_hat has mean mu (4 sigma) and variance (1 - mu^2)/S (ratio in [0.8, 1.2]).
+
+    Each state pair is one product: every repetition is an element with its own seed."""
     rng = np.random.default_rng(derive_seed(master, 2))
     reps, shots = 2000, 1024
     checked = 0
@@ -47,9 +49,8 @@ def estimator_law(master: int) -> tuple[bool, str]:
         mu = analytic_overlap(psi, phi)
         if abs(mu) > 0.9:
             continue
-        jobs = (HadamardJob(psi=psi, phi=phi, shots=shots, seed=derive_seed(master, 2, checked, k))
-                for k in range(reps))
-        zs = np.array([estimate(sample_hadamard(job)).z_hat for job in jobs])
+        cfg = MatMulConfig(shots=shots, seed=derive_seed(master, 2, checked))
+        zs = matmul(np.tile(psi.amplitudes, (reps, 1)), phi.amplitudes[:, None], cfg).z_hat[:, 0]
         expected_var = (1.0 - mu * mu) / shots
         var_ratio = float(np.var(zs, ddof=1)) / expected_var
         mean_err = abs(float(np.mean(zs)) - mu)
@@ -77,18 +78,18 @@ def exact_matmul(master: int, reference) -> tuple[bool, str]:
 
 
 def pattern_invariance(master: int) -> tuple[bool, str]:
-    """Criterion 5: every layout returns identical shot buffers for the same jobs."""
+    """Criterion 5: matmul returns identical products under every layout."""
     ok = True
     for n in (2, 4, 8):
         rng = np.random.default_rng(derive_seed(master, 5, n))
-        jobs = [
-            HadamardJob(psi=_random_state(rng, 8), phi=_random_state(rng, 8), shots=2048,
-                        seed=derive_seed(master, 5, n, i))
-            for i in range(n * n)
+        a, b = rng.normal(size=(n, 8)), rng.normal(size=(8, n))
+        products = [
+            matmul(a, b, MatMulConfig(shots=2048, pattern=p, seed=derive_seed(master, 5, n),
+                                      qubit_budget=1 << 30)).c.tobytes()
+            for p in StackingPattern
         ]
-        buffers = [execute_plan(plan(n, 8, p, 1 << 30), jobs) for p in StackingPattern]
-        ok = ok and all(buf == buffers[0] for buf in buffers[1:])
-    return ok, "identical buffers for N in {2,4,8}, all four layouts"
+        ok = ok and all(c == products[0] for c in products[1:])
+    return ok, "identical matmul products for N in {2,4,8}, all four layouts"
 
 
 def entropy_inequalities(master: int, per_family: int) -> tuple[bool, str]:

@@ -31,7 +31,6 @@ from .entropy import (
 from .matmul import (
     MatMulConfig,
     matmul as run_matmul,
-    summary_dict,
     write_result_csv,
     write_summary_json,
 )
@@ -52,7 +51,8 @@ def _default_seed() -> int:
 
 
 def _add_common(p: argparse.ArgumentParser, out: bool = True) -> None:
-    p.add_argument("--seed", type=int, default=None, help="master seed (default: $AQ_SEED or 0)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="master seed (default: $AQ_SEED or 0; train: the run file's seed)")
     if out:
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
 
@@ -121,9 +121,9 @@ def cmd_matmul(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     write_result_csv(result, args.out / "matmul.csv")
     classical = a @ b if (args.check_classical or args.exact) else None
-    write_summary_json(result, args.out / "matmul_summary.json", classical=classical)
+    summary = write_summary_json(result, args.out / "matmul_summary.json", classical=classical)
     matio.write_matrix_csv(args.out / "product.csv", result.c)
-    print(json.dumps(summary_dict(result, classical)))
+    print(json.dumps(summary))
     return EXIT_OK
 
 

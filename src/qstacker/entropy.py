@@ -356,16 +356,9 @@ def _isotonic_decreasing(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _sweep_points(sweep):
-    pts = []
-    for item in sweep:
-        if isinstance(item, SweepRecord):
-            pts.append((item.entropy_nats, item.total_variance))
-        else:
-            h, v = item
-            pts.append((float(h), float(v)))
-    pts.sort()
-    x = np.array([p[0] for p in pts])
-    y = np.array([p[1] for p in pts])
+    pairs = ((r.entropy_nats, r.total_variance) if isinstance(r, SweepRecord) else r for r in sweep)
+    pts = sorted((float(h), float(v)) for h, v in pairs)
+    x, y = np.array(pts, dtype=np.float64).reshape(-1, 2).T
     return x, y
 
 
@@ -375,7 +368,6 @@ class CrossingPoint:
     h_bits: float
     slope_a: float  # local fitted slope of sweep A at the crossing
     slope_b: float
-    crossings_nats: tuple
 
 
 def crossing_point(sweep_a, sweep_b) -> CrossingPoint:
@@ -398,26 +390,21 @@ def crossing_point(sweep_a, sweep_b) -> CrossingPoint:
         raise InsufficientOverlap(f"no shared entropy interval ({lo}, {hi})")
     fa = _isotonic_decreasing(xa, ya)
     fb = _isotonic_decreasing(xb, yb)
+    # the dense grid stays: on the breakpoints alone, a difference that is zero
+    # exactly at a breakpoint would be interpolated across two pieces
     grid = np.union1d(np.linspace(lo, hi, 2049), np.concatenate([xa, xb]))
     grid = grid[(grid >= lo) & (grid <= hi)]
     diff = np.interp(grid, xa, fa) - np.interp(grid, xb, fb)
     scale = max(np.abs(ya).max(), np.abs(yb).max(), 1e-300)
     sign = np.sign(np.where(np.abs(diff) <= 1e-12 * scale, 0.0, diff))
-    crossings = []
-    last = 0.0
-    last_idx = 0
-    for i, s in enumerate(sign):
-        if s == 0.0:
-            continue
-        if last != 0.0 and s != last:
-            d0, d1 = diff[last_idx], diff[i]
-            frac = d0 / (d0 - d1) if d1 != d0 else 0.5
-            crossings.append(float(grid[last_idx] + frac * (grid[i] - grid[last_idx])))
-        last = s
-        last_idx = i
-    if not crossings:
+    nonzero = np.flatnonzero(sign)
+    changes = np.flatnonzero(sign[nonzero[1:]] != sign[nonzero[:-1]])
+    if not changes.size:
         raise NoCrossing("fitted variance curves do not change order in the overlap")
-    h_star = crossings[-1]
+    i0, i1 = nonzero[changes[-1]], nonzero[changes[-1] + 1]
+    d0, d1 = diff[i0], diff[i1]
+    frac = d0 / (d0 - d1) if d1 != d0 else 0.5
+    h_star = float(grid[i0] + frac * (grid[i1] - grid[i0]))
 
     def local_slope(x: np.ndarray, f: np.ndarray, h: float) -> float:
         i = int(np.searchsorted(x, h))
@@ -430,7 +417,6 @@ def crossing_point(sweep_a, sweep_b) -> CrossingPoint:
         h_bits=h_star / LN2,
         slope_a=local_slope(xa, fa, h_star),
         slope_b=local_slope(xb, fb, h_star),
-        crossings_nats=tuple(crossings),
     )
 
 

@@ -191,7 +191,10 @@ def summary_dict(result: MatMulResult, classical: np.ndarray | None = None) -> d
     return out
 
 
-def write_summary_json(result: MatMulResult, path, classical: np.ndarray | None = None) -> None:
+def write_summary_json(result: MatMulResult, path, classical: np.ndarray | None = None) -> dict:
+    """Write summary_dict(result, classical) as JSON and return the dict."""
+    summary = summary_dict(result, classical)
     with open(path, "w") as fh:
-        json.dump(summary_dict(result, classical), fh, indent=2)
+        json.dump(summary, fh, indent=2)
         fh.write("\n")
+    return summary

@@ -12,6 +12,8 @@ is exactly a pair of matrix products around a sigmoid.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import struct
 import time
 from dataclasses import dataclass, field
@@ -68,8 +70,7 @@ class TrainConfig:
         for name in ("batch_size", "epochs", "shots"):
             object.__setattr__(self, name, as_int(getattr(self, name), name, minimum=1))
         object.__setattr__(self, "seed", as_int(self.seed, "seed"))
-        if self.learning_rate <= 0:
-            raise InvalidArgument("learning_rate must be > 0")
+        _check_learning_rate(self.learning_rate)
         _check_mode(self.forward_mode)
 
 
@@ -117,6 +118,12 @@ def init_model(shape: NetworkShape, seed: int) -> Model:
         w1=rng.uniform(-b1, b1, size=(shape.hidden, shape.inputs)),
         w2=rng.uniform(-b2, b2, size=(shape.outputs, shape.hidden)),
     )
+
+
+def _check_learning_rate(value):
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+        raise InvalidArgument(f"learning_rate must be a finite number > 0, got {value!r}")
+    return value
 
 
 def _check_mode(mode: str) -> None:
@@ -181,6 +188,13 @@ def _loss_and_grads(model: Model, xb: np.ndarray, y: np.ndarray,
     return loss, dw1, dw2, jobs
 
 
+def _accuracy(model: Model, data: Dataset, mode: str, shots: int, seed: int) -> tuple[float, int]:
+    """Argmax-logit accuracy on the nonempty test split, and the jobs it took."""
+    idx = data.test_idx
+    logits, _, jobs = forward(model, data.features[idx], mode=mode, shots=shots, seed=seed)
+    return float(np.mean(logits.argmax(axis=0) == data.labels[idx])), jobs
+
+
 def evaluate(
     model: Model,
     data: Dataset,
@@ -189,12 +203,9 @@ def evaluate(
     seed: int = 0,
 ) -> float:
     """Argmax-logit accuracy on the test split."""
-    idx = data.test_idx
-    if len(idx) == 0:
+    if len(data.test_idx) == 0:
         raise EmptyDataset("no evaluation samples")
-    logits, _, _ = forward(model, data.features[idx], mode=mode, shots=shots, seed=seed)
-    pred = logits.argmax(axis=0)
-    return float(np.mean(pred == data.labels[idx]))
+    return _accuracy(model, data, mode, shots, seed)[0]
 
 
 def train(data: Dataset, cfg: TrainConfig) -> tuple[Model, TrainReport]:
@@ -232,15 +243,9 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[Model, TrainReport]:
             losses.append(loss / len(idx))  # per-sample loss for the record
             report.quantum_jobs += jobs
         if len(data.test_idx):
-            logits, _, jobs = forward(
-                model,
-                data.features[data.test_idx],
-                mode=cfg.forward_mode,
-                shots=cfg.shots,
-                seed=derive_seed(cfg.seed, _TAG_EVAL, epoch),
-            )
+            acc, jobs = _accuracy(model, data, cfg.forward_mode, cfg.shots,
+                                  derive_seed(cfg.seed, _TAG_EVAL, epoch))
             report.quantum_jobs += jobs
-            acc = float(np.mean(logits.argmax(axis=0) == data.labels[data.test_idx]))
         else:
             acc = float("nan")
         report.epochs.append((epoch, float(np.mean(losses)), acc))
@@ -387,10 +392,11 @@ def ingest_mnist_idx(
 # run files and report persistence
 
 # run-file key -> (TrainConfig field, parser of its text); an absent key keeps
-# the field's default
+# the field's default. The lr parser applies TrainConfig's rule itself, so a
+# refused rate is reported under its run-file key
 _CONFIG_KEYS = {
     "batch": ("batch_size", int),
-    "lr": ("learning_rate", float),
+    "lr": ("learning_rate", lambda text: _check_learning_rate(float(text))),
     "epochs": ("epochs", int),
     "shots": ("shots", int),
     "seed": ("seed", int),

@@ -82,7 +82,7 @@ class StackingPlan:
 
     @property
     def cycles(self):
-        """The job ids of each cycle, in order, as ranges."""
+        """The job ids of each cycle, in order, as ranges (for plan_to_json)."""
         n, group, cap = self.total_jobs, self.group, self.cap
         for base in range(0, n, group):
             end = min(base + group, n)
@@ -140,21 +140,14 @@ def complexity_report(p: StackingPlan, epsilon: float) -> dict:
 
 
 def execute_plan(p: StackingPlan, jobs: list) -> list:
-    """Run every cycle group in order; results land in job-id order.
-
-    Seeds are job-derived, so the result buffer is identical to running
-    each job alone.
-    """
+    """Run the jobs in id order, the order every layout keeps; seeds are
+    job-derived, so the buffer equals running each job alone."""
     if len(jobs) != p.total_jobs:
         raise PlanJobMismatch(f"plan holds {p.total_jobs} jobs, buffer has {len(jobs)}")
-    results = []
-    for cycle in p.cycles:
-        for job_id in cycle:
-            job = jobs[job_id]
-            if not isinstance(job, HadamardJob):
-                raise PlanJobMismatch(f"buffer entry {job_id} is not a HadamardJob")
-            results.append(sample_hadamard(job))
-    return results
+    for job_id, job in enumerate(jobs):
+        if not isinstance(job, HadamardJob):
+            raise PlanJobMismatch(f"buffer entry {job_id} is not a HadamardJob")
+    return [sample_hadamard(job) for job in jobs]
 
 
 def plan_to_json(p: StackingPlan) -> str:

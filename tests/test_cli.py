@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qstacker import checks, cli
+from qstacker import checks, cli, nn
 from qstacker.cli import main
 from qstacker.matio import read_matrix_csv, write_matrix_csv
 
@@ -235,6 +235,17 @@ class TestRunFileAndFlagErrors:
         cfg.write_text(f"shape=784,8,10\nmnist_images={images}\nmnist_labels={labels}\ntrain_count=5\n")
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 3
         assert "train_count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-inf", "0"])
+    def test_refused_learning_rate_exits_three_before_any_product(
+            self, tmp_path, iris_path, capsys, monkeypatch, rate):
+        monkeypatch.setattr(nn, "matmul", lambda *a, **k: pytest.fail("a product ran"))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"shape=4,4,3\nlr={rate}\nmode=classical\ndataset={iris_path}\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and f"lr={rate!r}" in err
+        assert not (tmp_path / "train_report.json").exists()
 
     @pytest.mark.parametrize("argv", [
         ["entropy-sweep", "--dim", "0"],

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qstacker import (
     ProbDist,
@@ -18,7 +20,7 @@ from qstacker import (
     variance_band,
     variance_sweep,
 )
-from qstacker.entropy import shannon_entropy, write_sweep_csv
+from qstacker.entropy import LN2, _isotonic_decreasing, shannon_entropy, write_sweep_csv
 from qstacker.errors import (
     ConstantSeries,
     InsufficientOverlap,
@@ -337,6 +339,84 @@ class TestCrossingPoint:
         recs_b = [(r.entropy_nats, level) for r in recs_a]
         cp = crossing_point(recs_a, recs_b)
         assert 0.0 <= cp.h_nats <= math.log(64)
+
+
+def _reference_points(sweep):
+    pts = []
+    for h, v in sweep:
+        pts.append((float(h), float(v)))
+    pts.sort()
+    return np.array([p[0] for p in pts]), np.array([p[1] for p in pts])
+
+
+def _reference_crossing(sweep_a, sweep_b):
+    """The Python scan over every grid point that the one-array scan replaced:
+    (h_nats, h_bits, slope_a, slope_b) of the last sign change."""
+    xa, ya = _reference_points(sweep_a)
+    xb, yb = _reference_points(sweep_b)
+    if len(xa) < 2 or len(xb) < 2:
+        raise InsufficientOverlap("each sweep needs at least two entropy levels")
+    lo = max(xa.min(), xb.min())
+    hi = min(xa.max(), xb.max())
+    if not (hi > lo):
+        raise InsufficientOverlap(f"no shared entropy interval ({lo}, {hi})")
+    fa = _isotonic_decreasing(xa, ya)
+    fb = _isotonic_decreasing(xb, yb)
+    grid = np.union1d(np.linspace(lo, hi, 2049), np.concatenate([xa, xb]))
+    grid = grid[(grid >= lo) & (grid <= hi)]
+    diff = np.interp(grid, xa, fa) - np.interp(grid, xb, fb)
+    scale = max(np.abs(ya).max(), np.abs(yb).max(), 1e-300)
+    sign = np.sign(np.where(np.abs(diff) <= 1e-12 * scale, 0.0, diff))
+    crossings = []
+    last = 0.0
+    last_idx = 0
+    for i, s in enumerate(sign):
+        if s == 0.0:
+            continue
+        if last != 0.0 and s != last:
+            d0, d1 = diff[last_idx], diff[i]
+            frac = d0 / (d0 - d1) if d1 != d0 else 0.5
+            crossings.append(float(grid[last_idx] + frac * (grid[i] - grid[last_idx])))
+        last = s
+        last_idx = i
+    if not crossings:
+        raise NoCrossing("fitted variance curves do not change order in the overlap")
+    h_star = crossings[-1]
+
+    def local_slope(x, f, h):
+        i = int(np.searchsorted(x, h))
+        i = max(1, min(i, len(x) - 1))
+        dx = x[i] - x[i - 1]
+        return float((f[i] - f[i - 1]) / dx) if dx > 0 else 0.0
+
+    return h_star, h_star / LN2, local_slope(xa, fa, h_star), local_slope(xb, fb, h_star)
+
+
+def _outcome(fn, *args):
+    # a warning is an exception here (filterwarnings = error): a subnormal
+    # entropy step overflows the local slope in both scans alike
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# entropies and variances on coarse lattices give duplicate entropies, flat
+# stretches and curves that touch; the free floats give everything else
+_ENTROPIES = st.integers(0, 8).map(lambda k: k * 0.5) | st.floats(0.0, 4.0)
+_VARIANCES = st.integers(0, 6).map(lambda k: k * 0.25) | st.floats(0.0, 2.0)
+_SWEEPS = st.lists(st.tuples(_ENTROPIES, _VARIANCES), min_size=2, max_size=12)
+
+
+class TestCrossingScan:
+    @settings(deadline=None, max_examples=500)
+    @given(sweep_a=_SWEEPS, sweep_b=_SWEEPS)
+    def test_matches_the_python_scan(self, sweep_a, sweep_b):
+        def ours(a, b):
+            cp = crossing_point(a, b)
+            return cp.h_nats, cp.h_bits, cp.slope_a, cp.slope_b
+
+        assert _outcome(ours, sweep_a, sweep_b) == _outcome(_reference_crossing, sweep_a, sweep_b)
 
 
 class TestConcentration:

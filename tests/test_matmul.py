@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 from conftest import triple_loop
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qstacker import MatMulConfig, StackingPattern, error_budget, matmul, matvec
+from qstacker import MatMulConfig, ResourceModel, StackingPattern, error_budget, matmul, matvec
 from qstacker.errors import InvalidArgument, NonFiniteInput, ShapeMismatch
 from qstacker.matmul import summary_dict, write_result_csv, write_summary_json
 
@@ -142,6 +144,43 @@ class TestSampledMode:
         b = rng.normal(size=(3, 3))
         cfg = MatMulConfig(shots=4096, seed=13)
         assert np.array_equal(matmul(a, b, cfg).c, matmul(a, b, cfg).c)
+
+
+class TestLayoutInvarianceProperty:
+    # criterion 5 on a few fixed products, widened: edge shapes, zero rows and
+    # columns, every layout and any budget from one test up to unbounded
+    @settings(deadline=None, max_examples=150)
+    @given(
+        rows=st.integers(1, 6),
+        inner=st.integers(1, 9),
+        cols=st.integers(1, 6),
+        shots=st.integers(1, 1 << 20),
+        seed=st.integers(0, (1 << 64) - 1),
+        data=st.data(),
+    )
+    def test_every_layout_and_budget_gives_the_same_product(self, rows, inner, cols, shots, seed, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, (1 << 32) - 1), label="values"))
+        a = rng.normal(size=(rows, inner))
+        b = rng.normal(size=(inner, cols))
+        zero_rows = data.draw(st.lists(st.integers(0, rows - 1), unique=True), label="zero rows")
+        zero_cols = data.draw(st.lists(st.integers(0, cols - 1), unique=True), label="zero cols")
+        a[zero_rows] = 0.0
+        b[:, zero_cols] = 0.0
+        q = ResourceModel(dim=inner, total_jobs=0).qubits_per_test
+        budgets = data.draw(st.lists(st.none() | st.integers(q, 10**4), min_size=1, max_size=3),
+                            label="budgets")
+        first = matmul(a, b, MatMulConfig(shots=shots, seed=seed))
+        for pattern in StackingPattern:
+            for budget in budgets:
+                r = matmul(a, b, MatMulConfig(shots=shots, seed=seed, pattern=pattern,
+                                              qubit_budget=budget))
+                assert r.c.tobytes() == first.c.tobytes()
+                assert r.z_hat.tobytes() == first.z_hat.tobytes()
+                assert r.job_count == first.job_count
+        assert first.job_count == (rows - len(zero_rows)) * (cols - len(zero_cols))
+        for arr in (first.c, first.z_hat):
+            assert np.array_equal(arr[zero_rows], np.zeros((len(zero_rows), cols)))
+            assert np.array_equal(arr[:, zero_cols], np.zeros((rows, len(zero_cols))))
 
 
 class TestGoldenStream:

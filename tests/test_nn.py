@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from qstacker import (
     Model,
     NetworkShape,
     TrainConfig,
+    derive_seed,
     evaluate,
     forward,
     ingest_iris,
@@ -27,6 +29,7 @@ from qstacker.errors import (
     TruncatedFile,
 )
 from qstacker.nn import (
+    _TAG_EVAL,
     CLASSICAL,
     QUANTUM,
     SPLIT_SEED,
@@ -133,6 +136,17 @@ class TestTrainConfig:
         with pytest.raises(InvalidArgument):
             TrainConfig(shape=NetworkShape(4, 4, 3), **kwargs)
 
+    @pytest.mark.parametrize(
+        "rate", [float("nan"), float("inf"), float("-inf"), "0.1", None, 0, 0.0, -0.5],
+    )
+    def test_learning_rate_must_be_a_finite_positive_number(self, rate):
+        with pytest.raises(InvalidArgument, match="learning_rate"):
+            TrainConfig(shape=NetworkShape(4, 4, 3), learning_rate=rate)
+
+    @pytest.mark.parametrize("rate", [1, 0.05, np.float32(0.25), 1e-300])
+    def test_finite_positive_learning_rates_are_kept(self, rate):
+        assert TrainConfig(shape=NetworkShape(4, 4, 3), learning_rate=rate).learning_rate is rate
+
     def test_numpy_integers_become_ints(self):
         cfg = TrainConfig(shape=NetworkShape(4, 4, 3), shots=np.int64(64), seed=np.int32(-3))
         assert (cfg.shots, cfg.seed) == (64, -3)
@@ -184,6 +198,27 @@ class TestTrain:
         )
         _, report = train(data, cfg)
         assert report.quantum_jobs > 0
+
+    @pytest.mark.parametrize("mode", [CLASSICAL, QUANTUM])
+    def test_recorded_accuracy_is_evaluate_at_the_epoch_seed(self, mode):
+        # four shots make quantum accuracy depend on the evaluation seed
+        data = tiny_dataset(seed=5, samples=300)
+        cfg = TrainConfig(
+            shape=NetworkShape(4, 4, 3), batch_size=10, epochs=1, seed=18,
+            forward_mode=mode, shots=4,
+        )
+        model, report = train(data, cfg)
+        expected = evaluate(model, data, mode, 4, derive_seed(18, _TAG_EVAL, 0))
+        assert report.epochs[0][2] == expected == report.final_accuracy
+        if mode == QUANTUM:
+            assert evaluate(model, data, mode, 4, derive_seed(18, _TAG_EVAL, 1)) != expected
+
+    def test_empty_test_split_records_nan(self):
+        data = tiny_dataset()
+        data.test_idx = np.array([], dtype=int)
+        _, report = train(data, TrainConfig(shape=NetworkShape(4, 4, 3), epochs=2,
+                                            forward_mode=CLASSICAL))
+        assert all(math.isnan(acc) for _, _, acc in report.epochs)
 
     def test_empty_dataset(self):
         data = Dataset(
