@@ -31,7 +31,7 @@ from .hadamard import (
     sample_hadamard,
     swap_test_overlap_squared,
 )
-from .matmul import MatMulConfig, MatMulResult, error_budget, matmul, matvec
+from .matmul import MatMulConfig, MatMulResult, error_budget, matmul
 from .nn import (
     Dataset,
     Model,
@@ -56,6 +56,6 @@ from .stacking import (
     plan,
     plan_jobs,
 )
-from .vectors import EncodedState, encode, col_norms, row_norms
+from .vectors import EncodedState, encode
 
 __version__ = "0.1.0"

@@ -102,8 +102,8 @@ def entropy(dist: ProbDist | np.ndarray) -> EntropyReport:
 
 def dividend_bound(h_nats: float, shots: int) -> float:
     """Upper bound (1 - e^{-H})/S on the effective estimator variance."""
-    if h_nats < 0.0:
-        raise InvalidEntropy(f"entropy must be >= 0, got {h_nats}")
+    if not 0.0 <= h_nats < math.inf:  # NaN fails every comparison
+        raise InvalidEntropy(f"entropy must be finite and >= 0, got {h_nats}")
     return (1.0 - math.exp(-h_nats)) / as_int(shots, "shots", minimum=1)
 
 
@@ -118,7 +118,7 @@ def adaptive_shots(h_nats: float, h_max: float, epsilon: float, s_max: int) -> i
     s_max = as_int(s_max, "s_max", minimum=1)
     if not (0.0 < epsilon < 1.0):
         raise InvalidEpsilon(f"epsilon must be in (0, 1), got {epsilon}")
-    if h_nats < 0.0 or h_nats > h_max + 1e-12:
+    if not (0.0 <= h_nats <= h_max + 1e-12 and h_max < math.inf):  # NaN fails every comparison
         raise InvalidEntropy(f"entropy {h_nats} outside [0, {h_max}]")
     scale = math.exp(max(0.0, h_max - h_nats))
     raw = math.ceil(1.0 / epsilon**2) * scale
@@ -314,6 +314,8 @@ def pearson(xs, ys) -> CorrelationStats:
     m = x.size
     if m < 3:
         raise TooFewPoints(f"need at least 3 points, got {m}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise InvalidArgument("xs and ys must be finite")
     xc = x - x.mean()
     yc = y - y.mean()
     sx = float(np.sqrt(np.sum(xc**2)))

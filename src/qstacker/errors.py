@@ -60,7 +60,7 @@ class BudgetTooSmall(InvalidArgument):
     """Qubit budget cannot hold even a single Hadamard test."""
 
 
-class InvalidEpsilon(QStackerError):
+class InvalidEpsilon(InvalidArgument):
     """Target precision must lie in (0, 1)."""
 
 
@@ -92,7 +92,7 @@ class InsufficientOverlap(QStackerError):
     """Sweeps do not span a common entropy interval."""
 
 
-class InvalidEntropy(QStackerError):
+class InvalidEntropy(InvalidArgument):
     """Entropy argument outside [0, H_max]."""
 
 

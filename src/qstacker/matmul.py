@@ -1,23 +1,23 @@
 """Three-stage matrix multiplication through Hadamard-test estimation.
 
-Stage 1 encodes the rows of A and columns of B once each and records their
-Euclidean norms. Stage 2 dispatches one estimation job per output element
-through a stacking plan; element (i, j) gets its own seed derived from
-(master seed, i, j), all of them in one array call, so results are
-independent of the layout. Stage 3 reconstructs
-C_ij = ||A_i|| * ||B_j|| * z_hat_ij.
+matmul is _prepare, then _sample (exact mode skips it), then _reconstruct:
 
-Elements whose row or column norm is zero are written as exact zeros with no
-job dispatched. Exact mode skips the sampler: it normalizes A's rows and B's
-columns and takes every overlap from one matrix product, giving the classical
-product up to rounding; this is the oracle the training harness uses for
-classical forward passes.
+  _prepare      returns the validated float64 operands, the row norms of A,
+                the column norms of B and, in exact mode, the overlaps
+                M = clip(A_hat @ B_hat); exact mode takes z_hat = M, giving
+                the classical product up to rounding.
+  _sample       returns (z_hat, true_overlap, plan): one Hadamard-test job
+                per live element, whose seed is derived from (master seed,
+                i, j), so results are independent of the layout.
+  _reconstruct  returns the MatMulResult with C_ij = ||A_i|| ||B_j|| z_hat_ij;
+                no other code builds one.
+
+Elements whose row or column norm is zero are exact zeros with no job.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +26,7 @@ from .errors import ShapeMismatch, as_int
 from .hadamard import HadamardJob, analytic_overlap, estimate
 from .seeding import derive_seed
 from .stacking import StackingPattern, StackingPlan, execute_plan, plan_jobs
-from .vectors import _norm, as_matrix, as_vector, prepare_all
+from .vectors import _norm, as_matrix, prepare_all
 
 UNBOUNDED_BUDGET = 1 << 40  # wide enough that no realistic plan ever splits
 
@@ -61,38 +61,28 @@ class MatMulResult:
     job_count: int
     shots: int
     exact: bool
-    norm_products: np.ndarray = field(repr=False, default=None)
+    norm_products: np.ndarray = field(repr=False)
 
 
-def matmul(a, b, cfg: MatMulConfig) -> MatMulResult:
+def _prepare(a, b, exact: bool):
+    """(am, bm, a_norms, b_norms, M), with M None unless exact."""
     am = as_matrix(a)
     bm = as_matrix(b)
     if am.shape[1] != bm.shape[0]:
         raise ShapeMismatch(f"cannot multiply {am.shape} by {bm.shape}")
-    rows, cols = am.shape[0], bm.shape[1]
-    dim = am.shape[1]
     a_norms = _norm(am, axis=1)
     b_norms = _norm(bm, axis=0)
-    norm_products = np.outer(a_norms, b_norms)
+    if not exact:
+        return am, bm, a_norms, b_norms, None
+    # a row or column of zero norm becomes zero, so its overlaps are exact zeros
+    a_hat = np.divide(am, a_norms[:, None], out=np.zeros_like(am), where=a_norms[:, None] != 0.0)
+    b_hat = np.divide(bm, b_norms, out=np.zeros_like(bm), where=b_norms != 0.0)
+    return am, bm, a_norms, b_norms, np.clip(a_hat @ b_hat, -1.0, 1.0)
 
-    if cfg.exact:
-        # a row or column of zero norm becomes zero, so its overlaps are exact zeros
-        a_hat = np.divide(am, a_norms[:, None], out=np.zeros_like(am), where=a_norms[:, None] != 0.0)
-        b_hat = np.divide(bm, b_norms, out=np.zeros_like(bm), where=b_norms != 0.0)
-        mu = np.clip(a_hat @ b_hat, -1.0, 1.0)
-        return MatMulResult(
-            c=norm_products * mu,
-            z_hat=mu,
-            true_overlap=mu,
-            plan_used=plan_jobs(0, cols, dim, cfg.pattern, _budget(cfg)),
-            cache_hits=0,
-            cache_misses=rows + cols,
-            job_count=0,
-            shots=cfg.shots,
-            exact=True,
-            norm_products=norm_products,
-        )
 
+def _sample(am, bm, a_norms, b_norms, cfg: MatMulConfig):
+    """(z_hat, true_overlap, plan), estimated one job per live element."""
+    rows, cols = am.shape[0], bm.shape[1]
     row_states, col_states = prepare_all(am, bm)
     seeds = derive_seed(
         cfg.seed, np.arange(rows, dtype=np.uint64)[:, None], np.arange(cols, dtype=np.uint64)
@@ -112,7 +102,7 @@ def matmul(a, b, cfg: MatMulConfig) -> MatMulResult:
         )
         for i, j in live
     ]
-    the_plan = plan_jobs(len(jobs), cols, dim, cfg.pattern, _budget(cfg))
+    the_plan = plan_jobs(len(jobs), cols, am.shape[1], cfg.pattern, _budget(cfg))
     results = execute_plan(the_plan, jobs)
     z_hat = np.zeros((rows, cols))
     true_overlap = np.zeros((rows, cols))
@@ -120,49 +110,49 @@ def matmul(a, b, cfg: MatMulConfig) -> MatMulResult:
         mu = analytic_overlap(job.psi, job.phi)
         z_hat[i, j] = estimate(res, true_overlap=mu).z_hat
         true_overlap[i, j] = mu
+    return z_hat, true_overlap, the_plan
+
+
+def _reconstruct(z_hat, true_overlap, the_plan, a_norms, b_norms, cfg: MatMulConfig) -> MatMulResult:
+    """The MatMulResult with C_ij = ||A_i|| * ||B_j|| * z_hat_ij."""
+    norm_products = np.outer(a_norms, b_norms)
     return MatMulResult(
         c=norm_products * z_hat,
         z_hat=z_hat,
         true_overlap=true_overlap,
         plan_used=the_plan,
         cache_hits=0,
-        cache_misses=rows + cols,
-        job_count=len(jobs),
+        cache_misses=len(a_norms) + len(b_norms),
+        job_count=the_plan.total_jobs,
         shots=cfg.shots,
-        exact=False,
+        exact=cfg.exact,
         norm_products=norm_products,
     )
 
 
-def matvec(a, x, cfg: MatMulConfig) -> np.ndarray:
-    """Matrix-vector product: the single-column special case of matmul."""
-    xv = as_vector(x)
-    return matmul(a, xv.reshape(-1, 1), cfg).c[:, 0]
+def matmul(a, b, cfg: MatMulConfig) -> MatMulResult:
+    """C = A @ B, estimated element by element (exact overlaps if cfg.exact)."""
+    am, bm, a_norms, b_norms, mu = _prepare(a, b, cfg.exact)
+    if cfg.exact:
+        the_plan = plan_jobs(0, bm.shape[1], am.shape[1], cfg.pattern, _budget(cfg))
+        return _reconstruct(mu, mu, the_plan, a_norms, b_norms, cfg)
+    return _reconstruct(*_sample(am, bm, a_norms, b_norms, cfg), a_norms, b_norms, cfg)
 
 
-def error_budget(norm_product: float, shots: int, mu: float | None = None) -> float:
-    """One-sigma standard error of a reconstructed element.
+def error_budget(norm_product, shots: int, mu=0.0):
+    """One-sigma standard error of reconstructed elements, elementwise.
 
-    With the overlap unknown, returns the ceiling norm_product/sqrt(S);
-    given mu, the exact norm_product * sqrt((1 - mu^2)/S).
+    norm_product * sqrt((1 - mu^2)/S) for scalars or arrays; the default
+    mu = 0 gives the ceiling norm_product/sqrt(S) for an unknown overlap.
     """
     shots = as_int(shots, "shots", minimum=1)
-    if norm_product == 0.0:
-        return 0.0
-    if mu is None:
-        return abs(norm_product) / math.sqrt(shots)
-    return abs(norm_product) * math.sqrt(max(0.0, 1.0 - mu * mu) / shots)
+    return np.abs(norm_product) * np.sqrt(np.maximum(0.0, 1.0 - mu * mu) / shots)
 
 
 def write_result_csv(result: MatMulResult, path) -> None:
     """Per-element dump: i, j, z_hat, c_ij, stderr (plug-in error_budget)."""
     z = result.z_hat
-    if result.exact:
-        se = np.zeros_like(z)
-    else:
-        se = np.abs(result.norm_products) * np.sqrt(
-            np.maximum(0.0, 1.0 - z * z) / result.shots
-        )
+    se = np.zeros_like(z) if result.exact else error_budget(result.norm_products, result.shots, mu=z)
     with open(path, "w") as fh:
         fh.write("i,j,z_hat,c_ij,stderr\n")
         for i, row in enumerate(zip(z.tolist(), result.c.tolist(), se.tolist())):

@@ -105,16 +105,6 @@ def encode(v) -> EncodedState:
     return EncodedState(arr / norm, norm)
 
 
-def row_norms(m) -> np.ndarray:
-    """Euclidean norm of every row."""
-    return _norm(as_matrix(m), axis=1)
-
-
-def col_norms(m) -> np.ndarray:
-    """Euclidean norm of every column."""
-    return _norm(as_matrix(m), axis=0)
-
-
 def prepare_all(am: np.ndarray, bm: np.ndarray) -> tuple[list, list]:
     """Encode every row of A and every column of B, once each.
 

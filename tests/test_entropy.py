@@ -70,6 +70,9 @@ class TestEntropyReport:
 class TestDividendBound:
     def test_zero_entropy(self):
         assert dividend_bound(0.0, 100) == 0.0
+        for h in (-1e-9, float("nan"), float("inf")):  # zero is the least entropy there is
+            with pytest.raises(InvalidEntropy):
+                dividend_bound(h, 10)
 
     def test_ln4_at_8192(self):
         assert dividend_bound(math.log(4), 8192) == pytest.approx(0.75 / 8192, rel=1e-12)
@@ -280,6 +283,8 @@ class TestPearson:
     def test_constant_series(self):
         with pytest.raises(ConstantSeries):
             pearson([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
+        with pytest.raises(InvalidArgument):  # NaN has no spread either
+            pearson([1.0, 2.0, float("nan"), 4.0], [1.0, 3.0, 2.0, 5.0])
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
@@ -459,7 +464,12 @@ class TestAdaptiveShots:
         assert all(b <= a for a, b in zip(values, values[1:]))
 
     def test_invalid_entropy(self):
-        with pytest.raises(InvalidEntropy):
+        with pytest.raises(InvalidEntropy) as exc:
             adaptive_shots(5.0, 1.0, 0.1, 100)
+        assert isinstance(exc.value, InvalidArgument)  # a usage error
         with pytest.raises(InvalidEntropy):
             adaptive_shots(-0.5, 1.0, 0.1, 100)
+        with pytest.raises(InvalidEntropy):
+            adaptive_shots(float("nan"), 2.0, 0.1, 10**6)
+        with pytest.raises(InvalidEntropy):
+            adaptive_shots(1.0, float("inf"), 0.1, 100)

@@ -7,7 +7,7 @@ from conftest import triple_loop
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qstacker import MatMulConfig, ResourceModel, StackingPattern, error_budget, matmul, matvec
+from qstacker import MatMulConfig, ResourceModel, StackingPattern, error_budget, matmul
 from qstacker.errors import InvalidArgument, NonFiniteInput, ShapeMismatch
 from qstacker.matmul import summary_dict, write_result_csv, write_summary_json
 
@@ -148,7 +148,8 @@ class TestSampledMode:
 
 class TestLayoutInvarianceProperty:
     # criterion 5 on a few fixed products, widened: edge shapes, zero rows and
-    # columns, every layout and any budget from one test up to unbounded
+    # columns, planted overlaps of +-1, every layout and any budget from one
+    # test up to unbounded
     @settings(deadline=None, max_examples=150)
     @given(
         rows=st.integers(1, 6),
@@ -162,6 +163,11 @@ class TestLayoutInvarianceProperty:
         rng = np.random.default_rng(data.draw(st.integers(0, (1 << 32) - 1), label="values"))
         a = rng.normal(size=(rows, inner))
         b = rng.normal(size=(inner, cols))
+        planted = data.draw(st.dictionaries(st.integers(0, cols - 1),
+                                            st.tuples(st.integers(0, rows - 1), st.sampled_from([1.0, -1.0]))),
+                            label="planted column: (row, sign)")
+        for j, (i, sign) in planted.items():
+            b[:, j] = sign * a[i]
         zero_rows = data.draw(st.lists(st.integers(0, rows - 1), unique=True), label="zero rows")
         zero_cols = data.draw(st.lists(st.integers(0, cols - 1), unique=True), label="zero cols")
         a[zero_rows] = 0.0
@@ -181,6 +187,13 @@ class TestLayoutInvarianceProperty:
         for arr in (first.c, first.z_hat):
             assert np.array_equal(arr[zero_rows], np.zeros((len(zero_rows), cols)))
             assert np.array_equal(arr[:, zero_cols], np.zeros((rows, len(zero_cols))))
+        for j, (i, sign) in planted.items():
+            if i not in zero_rows and j not in zero_cols:
+                # every shot lands on one ancilla outcome, so the estimate is exact
+                assert first.z_hat[i, j] == sign
+                assert first.c[i, j] == sign * first.norm_products[i, j]
+        exact = matmul(a, b, MatMulConfig(exact=True))
+        assert exact.c.tobytes() == (exact.norm_products * exact.z_hat).tobytes()
 
 
 class TestGoldenStream:
@@ -243,7 +256,7 @@ class TestZeroNormShortCircuit:
 
     def test_zero_vector_matvec(self):
         a = np.eye(3)
-        out = matvec(a, [0.0, 0.0, 0.0], MatMulConfig(shots=64, seed=1))
+        out = matmul(a, np.zeros((3, 1)), MatMulConfig(shots=64, seed=1)).c[:, 0]
         assert np.array_equal(out, np.zeros(3))
 
 
@@ -267,7 +280,7 @@ class TestPrepAccounting:
 
 class TestMatvec:
     def test_identity_exact(self):
-        out = matvec(np.eye(3), [1.0, 2.0, 3.0], MatMulConfig(exact=True))
+        out = matmul(np.eye(3), np.array([[1.0], [2.0], [3.0]]), MatMulConfig(exact=True)).c[:, 0]
         assert np.allclose(out, [1, 2, 3], atol=1e-12)
 
     def test_sampled_within_four_sigma(self):
@@ -275,7 +288,7 @@ class TestMatvec:
         a = rng.normal(size=(16, 16))
         x = rng.normal(size=16)
         shots = 16384
-        out = matvec(a, x, MatMulConfig(shots=shots, seed=21))
+        out = matmul(a, x[:, None], MatMulConfig(shots=shots, seed=21)).c[:, 0]
         classical = a @ x
         bound = 4.0 * np.linalg.norm(a, axis=1) * np.linalg.norm(x) / np.sqrt(shots)
         assert np.all(np.abs(out - classical) <= bound + 1e-12)
@@ -302,9 +315,12 @@ class TestValidation:
             matmul(np.eye(3), np.eye(4), MatMulConfig(exact=True))
 
     def test_nonfinite(self):
-        bad = np.array([[1.0, float("nan")], [0.0, 1.0]])
-        with pytest.raises(NonFiniteInput):
-            matmul(bad, np.eye(2), MatMulConfig(exact=True))
+        for value in (float("nan"), float("inf"), -float("inf")):
+            bad = np.array([[1.0, value], [0.0, 1.0]])
+            with pytest.raises(NonFiniteInput):
+                matmul(bad, np.eye(2), MatMulConfig(exact=True))
+            with pytest.raises(NonFiniteInput):
+                matmul(np.eye(2), bad, MatMulConfig(shots=64))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -355,7 +371,7 @@ class TestSerialization:
         for i in range(4):
             for j in range(3):
                 z = float(r.z_hat[i, j])
-                se = error_budget(float(r.norm_products[i, j]), shots, mu=z)
+                se = float(error_budget(float(r.norm_products[i, j]), shots, mu=z))
                 expected.append(f"{i},{j},{z!r},{float(r.c[i, j])!r},{se!r}")
         write_result_csv(r, tmp_path / "matmul.csv")
         assert (tmp_path / "matmul.csv").read_text() == "\n".join(expected) + "\n"

@@ -16,7 +16,7 @@ from qstacker import (
     plan_jobs,
     sample_hadamard,
 )
-from qstacker.errors import BudgetTooSmall, InvalidEpsilon, PlanJobMismatch
+from qstacker.errors import BudgetTooSmall, InvalidArgument, InvalidEpsilon, PlanJobMismatch
 from qstacker.stacking import ResourceModel, plan_to_json
 
 P = StackingPattern
@@ -111,8 +111,9 @@ class TestComplexityReport:
         assert rep["classical_prep_ops"] == 64
 
     def test_invalid_epsilon(self):
-        with pytest.raises(InvalidEpsilon):
+        with pytest.raises(InvalidEpsilon) as exc:
             complexity_report(plan(2, 4, P.VERTICAL, 100), 1.5)
+        assert isinstance(exc.value, InvalidArgument)  # a usage error
 
 
 def make_jobs(n, dim, seed, shots=1024):

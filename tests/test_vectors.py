@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qstacker import col_norms, encode, row_norms
+from qstacker import encode
 from qstacker.errors import NonFiniteInput, ParseError, TruncatedFile
 from qstacker.matio import (
     read_matrix,
@@ -12,7 +12,7 @@ from qstacker.matio import (
     write_matrix_bin,
     write_matrix_csv,
 )
-from qstacker.vectors import prepare_all
+from qstacker.vectors import _norm, prepare_all
 
 
 class TestEncode:
@@ -70,38 +70,34 @@ class TestNorms:
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_extreme_magnitudes_share_one_rule(self, scale):
         m = np.array([[3.0, 4.0], [0.0, 0.0]]) * scale
-        norms = row_norms(m)
+        norms = _norm(m, axis=1)
         assert norms[0] == pytest.approx(5.0 * scale, rel=1e-15, abs=0.0)
         assert norms[1] == 0.0
-        assert np.array_equal(col_norms(m.T), norms)
+        assert np.array_equal(_norm(m.T, axis=0), norms)
         assert encode(m[0]).source_norm == norms[0]
         assert np.allclose(encode(m[0]).amplitudes, [0.6, 0.8], atol=1e-15)
 
     def test_ordinary_norms_are_numpy_bits(self):
         rng = np.random.default_rng(9)
         m = rng.normal(size=(6, 5)) * 10.0 ** rng.integers(-150, 150, size=(6, 1))
-        assert np.array_equal(row_norms(m), np.linalg.norm(m, axis=1))
-        assert np.array_equal(col_norms(m.T), np.linalg.norm(m.T, axis=0))
+        assert np.array_equal(_norm(m, axis=1), np.linalg.norm(m, axis=1))
+        assert np.array_equal(_norm(m.T, axis=0), np.linalg.norm(m.T, axis=0))
         for row in m:
             assert encode(row).source_norm == float(np.linalg.norm(row))
 
     def test_identity_rows(self):
-        assert np.array_equal(row_norms(np.eye(2)), [1, 1])
+        assert np.array_equal(_norm(np.eye(2), axis=1), [1, 1])
 
     def test_zero_row(self):
-        assert np.array_equal(row_norms([[3, 4], [0, 0]]), [5, 0])
+        assert np.array_equal(_norm(np.array([[3.0, 4.0], [0.0, 0.0]]), axis=1), [5, 0])
 
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(8)
         m = rng.normal(size=(8, 8))
         expected_rows = [math.sqrt(sum(x * x for x in m[i, :])) for i in range(8)]
         expected_cols = [math.sqrt(sum(x * x for x in m[:, j])) for j in range(8)]
-        assert np.allclose(row_norms(m), expected_rows, atol=1e-12)
-        assert np.allclose(col_norms(m), expected_cols, atol=1e-12)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(NonFiniteInput):
-            row_norms([[1.0, float("inf")]])
+        assert np.allclose(_norm(m, axis=1), expected_rows, atol=1e-12)
+        assert np.allclose(_norm(m, axis=0), expected_cols, atol=1e-12)
 
 
 class TestPrepareAll:
