@@ -48,7 +48,6 @@ from .nn import (
 )
 from .seeding import derive_seed, job_rng
 from .stacking import (
-    ResourceModel,
     StackingPattern,
     StackingPlan,
     complexity_report,

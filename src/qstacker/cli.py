@@ -34,7 +34,7 @@ from .matmul import (
     write_result_csv,
     write_summary_json,
 )
-from .errors import InvalidArgument, QStackerError, as_int
+from .errors import InvalidArgument, QStackerError, as_enum, as_int
 from .seeding import derive_seed
 
 EXIT_OK = 0
@@ -112,7 +112,7 @@ def cmd_matmul(args) -> int:
     b = matio.read_matrix(args.b)
     cfg = MatMulConfig(
         shots=args.shots,
-        pattern=stacking.StackingPattern(args.pattern),
+        pattern=args.pattern,
         seed=args.seed if args.seed is not None else _default_seed(),
         exact=args.exact,
         qubit_budget=args.budget,
@@ -128,7 +128,7 @@ def cmd_matmul(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    p = stacking.plan(args.n, args.dim, stacking.StackingPattern(args.pattern), args.budget)
+    p = stacking.plan(args.n, args.dim, args.pattern, args.budget)
     text = stacking.plan_to_json(p)
     print(text)
     if args.out is not None:
@@ -139,10 +139,8 @@ def cmd_plan(args) -> int:
 
 def cmd_entropy_sweep(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
-    try:
-        families = [StateFamily(tok.strip()) for tok in args.families.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise InvalidArgument(f"--families: {exc}") from None
+    families = [as_enum(StateFamily, tok.strip(), "--families")
+                for tok in args.families.split(",") if tok.strip()]
     args.out.mkdir(parents=True, exist_ok=True)
     sweeps = {}
     all_records = []
@@ -155,7 +153,7 @@ def cmd_entropy_sweep(args) -> int:
             shots=args.shots,
             repetitions=args.reps,
             seed=derive_seed(seed, k),
-            pairing=SweepPairing(args.pairing),
+            pairing=args.pairing,
         )
         sweeps[family.value] = records
         all_records.extend(records)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -38,6 +38,7 @@ from .errors import (
     InvalidSupport,
     NoCrossing,
     TooFewPoints,
+    as_enum,
     as_int,
 )
 from .seeding import derive_seed, job_rng
@@ -149,7 +150,7 @@ def generate_state(
     distribution, p = (1-t) delta_0 + t/n, so t sweeps entropy from 0 to
     ln n. Amplitudes are sqrt(p_i) with random signs.
     """
-    family = StateFamily(family)
+    family = as_enum(StateFamily, family, "family")
     n = as_int(n, "n")
     if n < 2:
         raise InvalidSupport(f"need support size >= 2, got n={n}")
@@ -233,8 +234,8 @@ def variance_sweep(
     bounded by the entropy-variance bound) from the sign-induced overlap
     dispersion (overlap_variance, which tracks the purity).
     """
-    family = StateFamily(family)
-    pairing = SweepPairing(pairing)
+    family = as_enum(StateFamily, family, "family")
+    pairing = as_enum(SweepPairing, pairing, "pairing")
     shots = as_int(shots, "shots", minimum=1)
     repetitions = as_int(repetitions, "repetitions", minimum=2)
     records = []
@@ -338,20 +339,20 @@ def pearson(xs, ys) -> CorrelationStats:
     return CorrelationStats(r=r, p_value=p, sample_count=m)
 
 
-def _isotonic_decreasing(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Least-squares non-increasing fit at the sample points (pool-adjacent-
-    violators on the negated series)."""
-    blocks: list[list] = []  # [mean, weight, count]
+def _isotonic_decreasing(y: np.ndarray) -> np.ndarray:
+    """Least-squares non-increasing fit of a series ordered by abscissa
+    (pool-adjacent-violators on the negated series)."""
+    blocks: list[list] = []  # [mean, count]
     for v in -y:
-        blocks.append([v, 1.0, 1])
+        blocks.append([v, 1])
         while len(blocks) > 1 and blocks[-2][0] > blocks[-1][0]:
-            v2, w2, c2 = blocks.pop()
-            v1, w1, c1 = blocks.pop()
-            w = w1 + w2
-            blocks.append([(v1 * w1 + v2 * w2) / w, w, c1 + c2])
+            v2, c2 = blocks.pop()
+            v1, c1 = blocks.pop()
+            c = c1 + c2
+            blocks.append([(v1 * c1 + v2 * c2) / c, c])
     fit = np.empty_like(y)
     pos = 0
-    for v, _, c in blocks:
+    for v, c in blocks:
         fit[pos : pos + c] = -v
         pos += c
     return fit
@@ -390,8 +391,8 @@ def crossing_point(sweep_a, sweep_b) -> CrossingPoint:
     hi = min(xa.max(), xb.max())
     if not (hi > lo):
         raise InsufficientOverlap(f"no shared entropy interval ({lo}, {hi})")
-    fa = _isotonic_decreasing(xa, ya)
-    fb = _isotonic_decreasing(xb, yb)
+    fa = _isotonic_decreasing(ya)
+    fb = _isotonic_decreasing(yb)
     # the dense grid stays: on the breakpoints alone, a difference that is zero
     # exactly at a breakpoint would be interpolated across two pieces
     grid = np.union1d(np.linspace(lo, hi, 2049), np.concatenate([xa, xb]))
@@ -491,22 +492,9 @@ def correlation_summary(sweeps_by_family: dict, crossings: list | None = None) -
             [r.entropy_nats for r in records],
             [r.total_variance for r in records],
         )
-        out["families"][name] = {
-            "r": stats.r,
-            "p_value": stats.p_value,
-            "sample_count": stats.sample_count,
-        }
-    for item in crossings or []:
-        pair, cp = item
-        out["crossing_points"].append(
-            {
-                "families": list(pair),
-                "h_nats": cp.h_nats,
-                "h_bits": cp.h_bits,
-                "slope_a": cp.slope_a,
-                "slope_b": cp.slope_b,
-            }
-        )
+        out["families"][name] = asdict(stats)
+    for pair, cp in crossings or []:
+        out["crossing_points"].append({"families": list(pair), **asdict(cp)})
     return out
 
 

@@ -32,6 +32,18 @@ def as_int(value, name: str, minimum: int | None = None) -> int:
     return number
 
 
+def as_enum(enum, value, name: str):
+    """value as a member of enum: a member itself, or the value string of one.
+
+    Anything else raises InvalidArgument, naming the accepted values.
+    """
+    try:
+        return enum(value)
+    except ValueError:
+        choices = ", ".join(member.value for member in enum)
+        raise InvalidArgument(f"{name} must be one of {choices}, got {value!r}") from None
+
+
 class NonFiniteInput(QStackerError):
     """An input vector or matrix contains NaN or Inf entries."""
 

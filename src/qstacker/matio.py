@@ -61,6 +61,10 @@ def read_matrix_bin(path) -> np.ndarray:
         raise TruncatedFile(
             f"{path}: expected {expected} bytes for {rows}x{cols}, got {len(raw)}"
         )
+    if len(raw) > expected:
+        raise ParseError(
+            f"{path}: header declares {expected} bytes for {rows}x{cols}, file has {len(raw)}"
+        )
     data = np.frombuffer(raw, dtype="<f8", count=rows * cols, offset=_HEADER.size)
     return as_matrix(data.reshape(rows, cols).astype(np.float64))
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeMismatch, as_int
+from .errors import ShapeMismatch, as_enum, as_int
 from .hadamard import HadamardJob, analytic_overlap, estimate
 from .seeding import derive_seed
 from .stacking import StackingPattern, StackingPlan, execute_plan, plan_jobs
@@ -31,12 +31,11 @@ from .vectors import _norm, as_matrix, prepare_all
 UNBOUNDED_BUDGET = 1 << 40  # wide enough that no realistic plan ever splits
 
 
-def _budget(cfg) -> int:
-    return UNBOUNDED_BUDGET if cfg.qubit_budget is None else cfg.qubit_budget
-
-
 @dataclass(frozen=True)
 class MatMulConfig:
+    """Engine options, normalised when built: pattern becomes a StackingPattern
+    member (its name is accepted) and a None budget becomes UNBOUNDED_BUDGET."""
+
     shots: int = 16384
     pattern: StackingPattern = StackingPattern.BATCH
     seed: int = 0
@@ -46,8 +45,9 @@ class MatMulConfig:
     def __post_init__(self):
         object.__setattr__(self, "shots", as_int(self.shots, "shots", minimum=1))
         object.__setattr__(self, "seed", as_int(self.seed, "seed"))
-        if self.qubit_budget is not None:
-            object.__setattr__(self, "qubit_budget", as_int(self.qubit_budget, "qubit_budget"))
+        object.__setattr__(self, "pattern", as_enum(StackingPattern, self.pattern, "pattern"))
+        budget = UNBOUNDED_BUDGET if self.qubit_budget is None else self.qubit_budget
+        object.__setattr__(self, "qubit_budget", as_int(budget, "qubit_budget"))
 
 
 @dataclass
@@ -102,7 +102,7 @@ def _sample(am, bm, a_norms, b_norms, cfg: MatMulConfig):
         )
         for i, j in live
     ]
-    the_plan = plan_jobs(len(jobs), cols, am.shape[1], cfg.pattern, _budget(cfg))
+    the_plan = plan_jobs(len(jobs), cols, am.shape[1], cfg.pattern, cfg.qubit_budget)
     results = execute_plan(the_plan, jobs)
     z_hat = np.zeros((rows, cols))
     true_overlap = np.zeros((rows, cols))
@@ -134,7 +134,7 @@ def matmul(a, b, cfg: MatMulConfig) -> MatMulResult:
     """C = A @ B, estimated element by element (exact overlaps if cfg.exact)."""
     am, bm, a_norms, b_norms, mu = _prepare(a, b, cfg.exact)
     if cfg.exact:
-        the_plan = plan_jobs(0, bm.shape[1], am.shape[1], cfg.pattern, _budget(cfg))
+        the_plan = plan_jobs(0, bm.shape[1], am.shape[1], cfg.pattern, cfg.qubit_budget)
         return _reconstruct(mu, mu, the_plan, a_norms, b_norms, cfg)
     return _reconstruct(*_sample(am, bm, a_norms, b_norms, cfg), a_norms, b_norms, cfg)
 

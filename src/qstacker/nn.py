@@ -131,11 +131,6 @@ def _check_mode(mode: str) -> None:
         raise InvalidArgument(f"unknown forward mode {mode!r}")
 
 
-def _layer_cfg(mode: str, shots: int, seed: int) -> MatMulConfig:
-    _check_mode(mode)
-    return MatMulConfig(shots=shots, seed=seed, exact=mode == CLASSICAL)
-
-
 def forward(
     model: Model,
     x: np.ndarray,
@@ -158,9 +153,11 @@ def forward(
         raise ShapeMismatch(
             f"W2 {model.w2.shape} does not chain with W1 {model.w1.shape}"
         )
-    r1 = matmul(model.w1, xb.T, _layer_cfg(mode, shots, derive_seed(seed, 1)))
+    _check_mode(mode)
+    exact = mode == CLASSICAL
+    r1 = matmul(model.w1, xb.T, MatMulConfig(shots=shots, seed=derive_seed(seed, 1), exact=exact))
     hidden = sigmoid(r1.c)
-    r2 = matmul(model.w2, hidden, _layer_cfg(mode, shots, derive_seed(seed, 2)))
+    r2 = matmul(model.w2, hidden, MatMulConfig(shots=shots, seed=derive_seed(seed, 2), exact=exact))
     return r2.c, hidden, r1.job_count + r2.job_count
 
 
@@ -272,9 +269,15 @@ def split_dataset(
     unless counts are given, in which case the first `counts[0]` samples
     train and the next `counts[1]` test."""
     features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     if len(features) != len(labels) or len(labels) == 0:
         raise EmptyDataset("features and labels must be nonempty and aligned")
+    # refused rather than truncated, as as_int refuses a float count
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise InvalidArgument(f"labels must be integers, got dtype {labels.dtype}")
+    if labels.min() < 0:
+        raise InvalidArgument(f"labels must be >= 0, got {labels.min()}")
+    labels = labels.astype(np.int64, copy=False)
     n_classes = int(labels.max()) + 1
     if counts is not None:
         n_train = as_int(counts[0], "train_count", minimum=0)

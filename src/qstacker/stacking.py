@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import BudgetTooSmall, InvalidEpsilon, PlanJobMismatch, as_int
+from .errors import BudgetTooSmall, InvalidEpsilon, PlanJobMismatch, as_enum, as_int
 from .hadamard import HadamardJob, sample_hadamard
 
 
@@ -34,37 +34,26 @@ class StackingPattern(str, Enum):
     BATCH = "batch"
 
 
-@dataclass(frozen=True)
-class ResourceModel:
-    """Qubit accounting for one job buffer."""
-
-    dim: int
-    total_jobs: int
-
-    @property
-    def data_qubits(self) -> int:
-        # A state of dim d needs ceil(log2 d) qubits; one qubit minimum.
-        return max(1, math.ceil(math.log2(self.dim)))
-
-    @property
-    def qubits_per_test(self) -> int:
-        return self.data_qubits + 1  # one ancilla per test
+def qubits_per_test(dim: int) -> int:
+    """ceil(log2 dim) data qubits (one minimum) plus one ancilla."""
+    return max(1, math.ceil(math.log2(dim))) + 1
 
 
 @dataclass(frozen=True)
 class StackingPlan:
-    """A layout in closed form: job ids 0..total_jobs-1 run in order, in base
-    groups of `group` consecutive jobs, each split into cycles of at most
-    `cap` jobs."""
+    """A layout in closed form: job ids 0..total_jobs-1, each a test on states
+    of dimension `dim`, run in order, in base groups of `group` consecutive
+    jobs, each split into cycles of at most `cap` jobs."""
 
     pattern: StackingPattern
-    resources: ResourceModel
+    dim: int
+    total_jobs: int
     group: int
     cap: int
 
     @property
-    def total_jobs(self) -> int:
-        return self.resources.total_jobs
+    def qubits_per_test(self) -> int:
+        return qubits_per_test(self.dim)
 
     @property
     def cycle_count(self) -> int:
@@ -73,7 +62,7 @@ class StackingPlan:
 
     @property
     def width(self) -> int:
-        return min(self.group, self.total_jobs, self.cap) * self.resources.qubits_per_test
+        return min(self.group, self.total_jobs, self.cap) * self.qubits_per_test
 
     @property
     def degraded(self) -> bool:
@@ -97,12 +86,14 @@ def plan_jobs(
     pattern: StackingPattern,
     qubit_budget: int,
 ) -> StackingPlan:
-    """Plan an arbitrary job buffer; row_len defines the balanced grouping."""
+    """Plan an arbitrary job buffer; row_len defines the balanced grouping.
+    pattern is a StackingPattern member or its name."""
     num_jobs = as_int(num_jobs, "num_jobs", minimum=0)
     row_len = as_int(row_len, "row_len", minimum=0)
     qubit_budget = as_int(qubit_budget, "qubit_budget")
-    resources = ResourceModel(dim=as_int(dim, "dim", minimum=1), total_jobs=num_jobs)
-    q = resources.qubits_per_test
+    dim = as_int(dim, "dim", minimum=1)
+    pattern = as_enum(StackingPattern, pattern, "pattern")
+    q = qubits_per_test(dim)
     if qubit_budget < q:
         raise BudgetTooSmall(
             f"budget {qubit_budget} < {q} qubits needed for a single test"
@@ -110,7 +101,7 @@ def plan_jobs(
     cap = qubit_budget // q
     group = {StackingPattern.HORIZONTAL: 1, StackingPattern.BALANCED: max(1, row_len),
              StackingPattern.VERTICAL: max(1, num_jobs), StackingPattern.BATCH: cap}[pattern]
-    return StackingPlan(pattern=pattern, resources=resources, group=group, cap=cap)
+    return StackingPlan(pattern=pattern, dim=dim, total_jobs=num_jobs, group=group, cap=cap)
 
 
 def plan(n: int, dim: int, pattern: StackingPattern, qubit_budget: int) -> StackingPlan:
@@ -126,12 +117,12 @@ def complexity_report(p: StackingPlan, epsilon: float) -> dict:
     if not (0.0 < epsilon < 1.0):
         raise InvalidEpsilon(f"epsilon must be in (0, 1), got {epsilon}")
     shots_per_job = math.ceil(1.0 / epsilon**2)
-    n_equiv = math.isqrt(p.resources.total_jobs)
+    n_equiv = math.isqrt(p.total_jobs)
     return {
         "pattern": p.pattern.value,
         "cycle_count": p.cycle_count,
         "width": p.width,
-        "qubits_per_test": p.resources.qubits_per_test,
+        "qubits_per_test": p.qubits_per_test,
         "shots_per_job": shots_per_job,
         "total_sequential_shots": p.cycle_count * shots_per_job,
         "classical_prep_ops": n_equiv * n_equiv,
@@ -154,8 +145,8 @@ def plan_to_json(p: StackingPlan) -> str:
     return json.dumps(
         {
             "pattern": p.pattern.value,
-            "dim": p.resources.dim,
-            "qubits_per_test": p.resources.qubits_per_test,
+            "dim": p.dim,
+            "qubits_per_test": p.qubits_per_test,
             "total_jobs": p.total_jobs,
             "cycle_count": p.cycle_count,
             "width": p.width,

@@ -1,8 +1,12 @@
-"""Every count or size a caller passes goes through errors.as_int.
+"""Every count or size a caller passes goes through errors.as_int, and every
+named option through errors.as_enum.
 
-Each site below refuses a float, a numeric string and a value under its
+Each count site below refuses a float, a numeric string and a value under its
 minimum, and gives the same output for a NumPy integer as for a Python int
-(compared by repr, so a NumPy integer stored unconverted shows up).
+(compared by repr, so a NumPy integer stored unconverted shows up). Each name
+site refuses an unknown name and gives the same output for an enum member as
+for its value string (compared by repr, so a string stored unconverted shows
+up).
 """
 
 import numpy as np
@@ -14,6 +18,7 @@ from qstacker import (
     NetworkShape,
     StackingPattern,
     StateFamily,
+    SweepPairing,
     TrainConfig,
     adaptive_shots,
     concentration_check,
@@ -30,6 +35,7 @@ from qstacker import (
     variance_sweep,
 )
 from qstacker.errors import InvalidArgument, ShapeMismatch
+from qstacker.matmul import summary_dict
 
 SHAPE = NetworkShape(4, 4, 3)
 PSI = encode([0.6, 0.8])
@@ -56,9 +62,9 @@ def _split(train_count=4, test_count=3):
 
 
 def _plan_jobs(**kwargs):
-    args = dict(num_jobs=6, row_len=3, dim=4, qubit_budget=9)
+    args = dict(num_jobs=6, row_len=3, dim=4, qubit_budget=9, pattern=StackingPattern.BALANCED)
     args.update(kwargs)
-    return plan_jobs(pattern=StackingPattern.BALANCED, **args)
+    return plan_jobs(**args)
 
 
 def _mnist(files, **kwargs):
@@ -116,3 +122,34 @@ class TestCountSites:
 
     def test_numpy_integer_matches_int(self, call, good, below, below_error, mnist_idx_files):
         assert repr(call(np.int64(good), mnist_idx_files)) == repr(call(good, mnist_idx_files))
+
+
+# (site, call of a name value, a member it accepts)
+NAME_SITES = [
+    ("MatMulConfig.pattern", lambda v: MatMulConfig(shots=64, seed=1, pattern=v),
+     StackingPattern.VERTICAL),
+    ("plan_jobs.pattern", lambda v: _plan_jobs(pattern=v), StackingPattern.HORIZONTAL),
+    ("generate_state.family", lambda v: generate_state(v, 8, 4)[1].p.tobytes(),
+     StateFamily.EXPONENTIAL),
+    ("variance_sweep.family",
+     lambda v: variance_sweep(v, [2, 4], dim=8, shots=64, repetitions=10, seed=5),
+     StateFamily.CHI_SQUARE),
+    ("variance_sweep.pairing", lambda v: _sweep(pairing=v), SweepPairing.INDEPENDENT),
+]
+
+
+@pytest.mark.parametrize("call, member", [pytest.param(*site[1:], id=site[0]) for site in NAME_SITES])
+class TestNameSites:
+    def test_unknown_name_is_refused(self, call, member):
+        with pytest.raises(InvalidArgument, match="must be one of"):
+            call("diagonal")
+
+    def test_value_string_matches_member(self, call, member):
+        assert repr(call(member.value)) == repr(call(member))
+
+
+def test_a_pattern_name_reports_like_its_member():
+    by_name = matmul(A, A, MatMulConfig(shots=64, seed=1, pattern="vertical"))
+    by_member = matmul(A, A, MatMulConfig(shots=64, seed=1, pattern=StackingPattern.VERTICAL))
+    assert summary_dict(by_name) == summary_dict(by_member)
+    assert summary_dict(by_name)["pattern"] == "vertical"

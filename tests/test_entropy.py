@@ -365,8 +365,8 @@ def _reference_crossing(sweep_a, sweep_b):
     hi = min(xa.max(), xb.max())
     if not (hi > lo):
         raise InsufficientOverlap(f"no shared entropy interval ({lo}, {hi})")
-    fa = _isotonic_decreasing(xa, ya)
-    fb = _isotonic_decreasing(xb, yb)
+    fa = _isotonic_decreasing(ya)
+    fb = _isotonic_decreasing(yb)
     grid = np.union1d(np.linspace(lo, hi, 2049), np.concatenate([xa, xb]))
     grid = grid[(grid >= lo) & (grid <= hi)]
     diff = np.interp(grid, xa, fa) - np.interp(grid, xb, fb)

@@ -1,15 +1,21 @@
-"""Every name a module imports is used in it.
+"""Two lints over the package source.
 
-No linter ships with the toolchain, so this test parses each module of the
-package (not `__init__.py`, whose imports are its public names) and fails on
-any imported name that the module never reads. `from __future__` imports are
-compiler directives and are left out.
+No linter ships with the toolchain, so these tests parse each module of the
+package:
+  * every name a module imports is used in it (`__init__.py` is left out,
+    since its imports are its public names; so are `from __future__`
+    imports, which are compiler directives);
+  * every `raise` names an exception class of `qstacker.errors`, so no bare
+    `ValueError` or `KeyError` escapes the error taxonomy.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
+
+from qstacker import errors
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qstacker"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -53,3 +59,43 @@ def test_an_unused_import_is_reported():
         "    return job\n"
     )
     assert unused_imports(source) == ["line 2: json", "line 5: estimate"]
+
+
+TAXONOMY = {name for name, obj in vars(errors).items()
+            if inspect.isclass(obj) and obj.__module__ == errors.__name__}
+
+
+def foreign_raises(source: str) -> list[str]:
+    """`raise` statements whose exception is not a class of qstacker.errors;
+    a bare `raise` re-raises and is left out."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+        if name not in TAXONOMY:
+            found.append((node.lineno, ast.unparse(target)))
+    return [f"line {line}: {text}" for line, text in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_raises_name_the_error_taxonomy(path):
+    assert foreign_raises(path.read_text()) == []
+
+
+def test_a_foreign_raise_is_reported():
+    source = (
+        "from .errors import InvalidArgument\n"
+        "def f(x):\n"
+        "    if x < 0:\n"
+        "        raise ValueError('negative')\n"
+        "    if x > 9:\n"
+        "        raise InvalidArgument('large') from None\n"
+        "    try:\n"
+        "        return {}[x]\n"
+        "    except KeyError:\n"
+        "        raise\n"
+        "    raise KeyError\n"
+    )
+    assert foreign_raises(source) == ["line 4: ValueError", "line 11: KeyError"]

@@ -7,9 +7,10 @@ from conftest import triple_loop
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qstacker import MatMulConfig, ResourceModel, StackingPattern, error_budget, matmul
+from qstacker import MatMulConfig, StackingPattern, error_budget, matmul
 from qstacker.errors import InvalidArgument, NonFiniteInput, ShapeMismatch
 from qstacker.matmul import summary_dict, write_result_csv, write_summary_json
+from qstacker.stacking import qubits_per_test
 
 
 class TestExactMode:
@@ -172,7 +173,7 @@ class TestLayoutInvarianceProperty:
         zero_cols = data.draw(st.lists(st.integers(0, cols - 1), unique=True), label="zero cols")
         a[zero_rows] = 0.0
         b[:, zero_cols] = 0.0
-        q = ResourceModel(dim=inner, total_jobs=0).qubits_per_test
+        q = qubits_per_test(inner)
         budgets = data.draw(st.lists(st.none() | st.integers(q, 10**4), min_size=1, max_size=3),
                             label="budgets")
         first = matmul(a, b, MatMulConfig(shots=shots, seed=seed))

@@ -228,6 +228,10 @@ class TestTrain:
         )
         with pytest.raises(EmptyDataset):
             train(data, TrainConfig(shape=NetworkShape(4, 2, 2)))
+        # labels split_dataset refuses rather than wraps (-1) or truncates (1.7)
+        for labels in ([-1, 0, 1] * 4, [0.0, 1.7, 2.2] * 4):
+            with pytest.raises(InvalidArgument, match="labels must be"):
+                split_dataset(np.zeros((12, 4)), labels, split_seed=0)
 
 
 @pytest.mark.slow

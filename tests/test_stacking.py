@@ -17,7 +17,7 @@ from qstacker import (
     sample_hadamard,
 )
 from qstacker.errors import BudgetTooSmall, InvalidArgument, InvalidEpsilon, PlanJobMismatch
-from qstacker.stacking import ResourceModel, plan_to_json
+from qstacker.stacking import plan_to_json, qubits_per_test
 
 P = StackingPattern
 
@@ -86,12 +86,12 @@ class TestPlanShapes:
 
     def test_qubits_per_test_floor(self):
         p = plan_jobs(1, 1, 2, P.HORIZONTAL, 2)
-        assert p.resources.qubits_per_test == 2
+        assert p.qubits_per_test == 2
 
     def test_non_power_of_two_dim_padded(self):
         # dim 5 pads to 8 -> 3 data qubits + ancilla
         p = plan(2, 5, P.VERTICAL, 16)
-        assert p.resources.qubits_per_test == 4
+        assert p.qubits_per_test == 4
         assert p.width == 16
 
 
@@ -211,7 +211,7 @@ class TestClosedFormPlan:
         extra=st.integers(0, 10**4),
     )
     def test_matches_the_materialized_layout(self, num_jobs, row_len, dim, pattern, extra):
-        q = ResourceModel(dim=dim, total_jobs=num_jobs).qubits_per_test
+        q = qubits_per_test(dim)
         budget = min(q + extra, 10**4)
         p = plan_jobs(num_jobs, row_len, dim, pattern, budget)
         cycles, degraded = _reference_layout(list(range(num_jobs)), row_len, pattern, budget // q)
