@@ -34,7 +34,7 @@ from .matmul import (
     write_result_csv,
     write_summary_json,
 )
-from .errors import InvalidArgument, QStackerError, as_enum, as_int
+from .errors import InvalidArgument, NoCrossing, QStackerError, as_enum, as_int
 from .seeding import derive_seed
 
 EXIT_OK = 0
@@ -43,7 +43,11 @@ EXIT_DATA = 3
 EXIT_VERIFY = 4
 
 
-def _default_seed() -> int:
+def _seed(args) -> int:
+    """--seed, else $AQ_SEED, else 0. train does not call this: its default
+    is the run file's seed."""
+    if args.seed is not None:
+        return args.seed
     try:
         return int(os.environ.get("AQ_SEED", "0"))
     except ValueError as exc:
@@ -99,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _sweep_levels(family: StateFamily, count: int, dim: int):
     count = as_int(count, "levels", minimum=3)  # each family's correlation needs three points
-    dim = as_int(dim, "dim", minimum=1)  # generate_state refuses dim 1 with InvalidSupport
+    dim = as_int(dim, "dim", minimum=1)  # generate_state refuses dim 1 with InvalidArgument
     if family is StateFamily.INTERPOLATED:
         return list(np.linspace(0.0, 1.0, count))
     if family in (StateFamily.UNIFORM, StateFamily.EXPONENTIAL, StateFamily.CHI_SQUARE):
@@ -113,7 +117,7 @@ def cmd_matmul(args) -> int:
     cfg = MatMulConfig(
         shots=args.shots,
         pattern=args.pattern,
-        seed=args.seed if args.seed is not None else _default_seed(),
+        seed=_seed(args),
         exact=args.exact,
         qubit_budget=args.budget,
     )
@@ -138,7 +142,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_entropy_sweep(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     families = [as_enum(StateFamily, tok.strip(), "--families")
                 for tok in args.families.split(",") if tok.strip()]
     args.out.mkdir(parents=True, exist_ok=True)
@@ -162,7 +166,7 @@ def cmd_entropy_sweep(args) -> int:
     for a, b in itertools.combinations(sweeps, 2):
         try:
             crossings.append(((a, b), crossing_point(sweeps[a], sweeps[b])))
-        except QStackerError:
+        except NoCrossing:
             pass
     summary = correlation_summary(sweeps, crossings)
     write_correlation_json(summary, args.out / "correlation.json")
@@ -187,7 +191,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     # acceptance criteria 1, 2, 3, 5 and 7 with their acceptance bounds; the
     # entropy check samples 2000 distributions per family (acceptance: 20000)
     battery = (

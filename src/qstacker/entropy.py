@@ -28,19 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    ConstantSeries,
-    InsufficientOverlap,
-    InvalidArgument,
-    InvalidDistribution,
-    InvalidEntropy,
-    InvalidEpsilon,
-    InvalidSupport,
-    NoCrossing,
-    TooFewPoints,
-    as_enum,
-    as_int,
-)
+from .errors import ConstantSeries, InvalidArgument, InvalidDistribution, NoCrossing, as_enum, as_int
 from .seeding import derive_seed, job_rng
 from .vectors import EncodedState
 
@@ -104,7 +92,7 @@ def entropy(dist: ProbDist | np.ndarray) -> EntropyReport:
 def dividend_bound(h_nats: float, shots: int) -> float:
     """Upper bound (1 - e^{-H})/S on the effective estimator variance."""
     if not 0.0 <= h_nats < math.inf:  # NaN fails every comparison
-        raise InvalidEntropy(f"entropy must be finite and >= 0, got {h_nats}")
+        raise InvalidArgument(f"entropy must be finite and >= 0, got {h_nats}")
     return (1.0 - math.exp(-h_nats)) / as_int(shots, "shots", minimum=1)
 
 
@@ -118,9 +106,9 @@ def adaptive_shots(h_nats: float, h_max: float, epsilon: float, s_max: int) -> i
     """
     s_max = as_int(s_max, "s_max", minimum=1)
     if not (0.0 < epsilon < 1.0):
-        raise InvalidEpsilon(f"epsilon must be in (0, 1), got {epsilon}")
+        raise InvalidArgument(f"epsilon must be in (0, 1), got {epsilon}")
     if not (0.0 <= h_nats <= h_max + 1e-12 and h_max < math.inf):  # NaN fails every comparison
-        raise InvalidEntropy(f"entropy {h_nats} outside [0, {h_max}]")
+        raise InvalidArgument(f"entropy {h_nats} outside [0, {h_max}]")
     scale = math.exp(max(0.0, h_max - h_nats))
     raw = math.ceil(1.0 / epsilon**2) * scale
     # guard against 1-ulp excursions above exact integer values
@@ -153,14 +141,14 @@ def generate_state(
     family = as_enum(StateFamily, family, "family")
     n = as_int(n, "n")
     if n < 2:
-        raise InvalidSupport(f"need support size >= 2, got n={n}")
+        raise InvalidArgument(f"need support size >= 2, got n={n}")
     rng = job_rng(seed)
     p = np.zeros(n)
     if family is StateFamily.INTERPOLATED:
         if t is None:
             t = float(rng.uniform())
         if not (0.0 <= t <= 1.0):
-            raise InvalidSupport(f"interpolation parameter t={t} outside [0, 1]")
+            raise InvalidArgument(f"interpolation parameter t={t} outside [0, 1]")
         p[:] = t / n
         p[0] += 1.0 - t
     else:
@@ -169,7 +157,7 @@ def generate_state(
         else:
             m = int(rng.integers(1, n + 1)) if family is StateFamily.UNIFORM else n
         if not (1 <= m <= n):
-            raise InvalidSupport(f"support {m} outside [1, {n}]")
+            raise InvalidArgument(f"support {m} outside [1, {n}]")
         idx = rng.choice(n, size=m, replace=False)
         if family is StateFamily.UNIFORM:
             p[idx] = 1.0 / m
@@ -314,7 +302,7 @@ def pearson(xs, ys) -> CorrelationStats:
         raise InvalidArgument("xs and ys must be 1-D sequences of equal length")
     m = x.size
     if m < 3:
-        raise TooFewPoints(f"need at least 3 points, got {m}")
+        raise InvalidArgument(f"need at least 3 points, got {m}")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise InvalidArgument("xs and ys must be finite")
     xc = x - x.mean()
@@ -386,11 +374,11 @@ def crossing_point(sweep_a, sweep_b) -> CrossingPoint:
     xa, ya = _sweep_points(sweep_a)
     xb, yb = _sweep_points(sweep_b)
     if len(xa) < 2 or len(xb) < 2:
-        raise InsufficientOverlap("each sweep needs at least two entropy levels")
+        raise NoCrossing("each sweep needs at least two entropy levels")
     lo = max(xa.min(), xb.min())
     hi = min(xa.max(), xb.max())
     if not (hi > lo):
-        raise InsufficientOverlap(f"no shared entropy interval ({lo}, {hi})")
+        raise NoCrossing(f"no shared entropy interval ({lo}, {hi})")
     fa = _isotonic_decreasing(ya)
     fb = _isotonic_decreasing(yb)
     # the dense grid stays: on the breakpoints alone, a difference that is zero

@@ -3,7 +3,8 @@
 Every error raised by qstacker derives from QStackerError, so callers can
 catch one type at the CLI boundary and map it to an exit code. A caller's bad
 argument is an InvalidArgument (usage error); every other QStackerError is a
-data error.
+data error. A class exists only where a caller can act on it: the message,
+not the class, tells apart the cases that share one.
 """
 
 import operator
@@ -14,7 +15,8 @@ class QStackerError(Exception):
 
 
 class InvalidArgument(QStackerError, ValueError):
-    """A count or option argument is out of range (shots, repetitions, n...)."""
+    """An argument is out of range: a count (shots, repetitions, n, qubit budget,
+    series length), an option name, an epsilon, an entropy or a support."""
 
 
 def as_int(value, name: str, minimum: int | None = None) -> int:
@@ -49,31 +51,13 @@ class NonFiniteInput(QStackerError):
 
 
 class ShapeMismatch(QStackerError):
-    """Matrix/vector shapes do not chain for the requested operation."""
-
-
-class DimMismatch(QStackerError):
-    """Two encoded states have different dimensions."""
+    """Shapes or dimensions do not fit the operation: operands that do not
+    chain, states of different dimensions, or a state the explicit circuit
+    cannot hold (not 2^n, or too many qubits)."""
 
 
 class ZeroState(QStackerError):
     """Operation undefined on the zero-vector sentinel state."""
-
-
-class DimNotPowerOfTwo(QStackerError):
-    """Circuit-level verification requires a 2^n dimensional state."""
-
-
-class DimTooLarge(QStackerError):
-    """State too large for explicit statevector verification."""
-
-
-class BudgetTooSmall(InvalidArgument):
-    """Qubit budget cannot hold even a single Hadamard test."""
-
-
-class InvalidEpsilon(InvalidArgument):
-    """Target precision must lie in (0, 1)."""
 
 
 class PlanJobMismatch(QStackerError):
@@ -84,40 +68,18 @@ class InvalidDistribution(QStackerError):
     """Probabilities are negative or do not sum to one."""
 
 
-class InvalidSupport(InvalidArgument):
-    """Requested support size is out of range for the state family."""
-
-
 class ConstantSeries(QStackerError):
     """Correlation undefined when one series is constant."""
 
 
-class TooFewPoints(QStackerError):
-    """Correlation requires at least three points."""
-
-
 class NoCrossing(QStackerError):
-    """Variance curves do not intersect inside the shared entropy range."""
-
-
-class InsufficientOverlap(QStackerError):
-    """Sweeps do not span a common entropy interval."""
-
-
-class InvalidEntropy(InvalidArgument):
-    """Entropy argument outside [0, H_max]."""
+    """Variance curves do not cross: no order change inside the shared
+    entropy range, or no shared range at all."""
 
 
 class ParseError(QStackerError):
-    """Input file could not be parsed."""
-
-
-class MagicMismatch(ParseError):
-    """IDX file magic number does not match the expected format."""
-
-
-class TruncatedFile(ParseError):
-    """File ends before the declared payload is complete."""
+    """Input file could not be parsed: malformed text, a wrong magic number,
+    or a payload shorter or longer than its header declares."""
 
 
 class EmptyDataset(QStackerError):

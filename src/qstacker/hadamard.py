@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, DimNotPowerOfTwo, DimTooLarge, ZeroState, as_int
+from .errors import ShapeMismatch, ZeroState, as_int
 from .seeding import job_binomial
 from .vectors import EncodedState
 
@@ -40,7 +40,7 @@ class HadamardJob:
 
     def __post_init__(self):
         if self.psi.dim != self.phi.dim:
-            raise DimMismatch(f"{self.psi.dim} != {self.phi.dim}")
+            raise ShapeMismatch(f"{self.psi.dim} != {self.phi.dim}")
         object.__setattr__(self, "shots", as_int(self.shots, "shots", minimum=1))
 
 
@@ -68,7 +68,7 @@ class OverlapEstimate:
 def analytic_overlap(psi: EncodedState, phi: EncodedState) -> float:
     """Exact real overlap <psi|phi>, clamped to [-1, 1] against rounding."""
     if psi.dim != phi.dim:
-        raise DimMismatch(f"{psi.dim} != {phi.dim}")
+        raise ShapeMismatch(f"{psi.dim} != {phi.dim}")
     if psi.is_zero or phi.is_zero:
         raise ZeroState("overlap undefined for the zero-vector sentinel")
     # min/max gives np.clip's float, NaN and -0.0 included, at a fraction of its cost
@@ -119,15 +119,15 @@ def circuit_verify(psi: EncodedState, phi: EncodedState) -> float:
     (1 + analytic_overlap)/2 to 1e-10.
     """
     if psi.dim != phi.dim:
-        raise DimMismatch(f"{psi.dim} != {phi.dim}")
+        raise ShapeMismatch(f"{psi.dim} != {phi.dim}")
     if psi.is_zero or phi.is_zero:
         raise ZeroState("circuit verification needs normalized states")
     d = psi.dim
     n = d.bit_length() - 1
     if d != 1 << n:
-        raise DimNotPowerOfTwo(f"dim {d} is not a power of two")
+        raise ShapeMismatch(f"dim {d} is not a power of two")
     if n > MAX_VERIFY_QUBITS:
-        raise DimTooLarge(f"{n} data qubits exceeds the {MAX_VERIFY_QUBITS}-qubit verification scale")
+        raise ShapeMismatch(f"{n} data qubits exceeds the {MAX_VERIFY_QUBITS}-qubit verification scale")
 
     # State layout: index (a*d + k) is ancilla bit a, data basis state k.
     state = np.zeros(2 * d)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, TruncatedFile
+from .errors import ParseError
 from .vectors import as_matrix
 
 _HEADER = struct.Struct("<II")
@@ -52,13 +52,13 @@ def write_matrix_csv(path, m) -> None:
 def read_matrix_bin(path) -> np.ndarray:
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
-        raise TruncatedFile(f"{path}: missing header")
+        raise ParseError(f"{path}: missing header")
     rows, cols = _HEADER.unpack_from(raw)
     if rows == 0 or cols == 0:
         raise ParseError(f"{path}: zero dimension in header ({rows}x{cols})")
     expected = _HEADER.size + rows * cols * 8
     if len(raw) < expected:
-        raise TruncatedFile(
+        raise ParseError(
             f"{path}: expected {expected} bytes for {rows}x{cols}, got {len(raw)}"
         )
     if len(raw) > expected:

@@ -17,24 +17,22 @@ import numbers
 import struct
 import time
 from dataclasses import dataclass, field
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    EmptyDataset,
-    InvalidArgument,
-    MagicMismatch,
-    ParseError,
-    ShapeMismatch,
-    TruncatedFile,
-    as_int,
-)
+from .errors import EmptyDataset, InvalidArgument, ParseError, ShapeMismatch, as_enum, as_int
 from .matmul import MatMulConfig, matmul
 from .seeding import derive_seed, job_rng
 
-CLASSICAL = "classical"
-QUANTUM = "quantum"
+
+class ForwardMode(str, Enum):
+    CLASSICAL = "classical"  # exact products, no sampling
+    QUANTUM = "quantum"
+
+
+CLASSICAL, QUANTUM = ForwardMode.CLASSICAL, ForwardMode.QUANTUM
 
 # seed-derivation tags, arbitrary distinct constants
 _TAG_INIT = 0x11
@@ -64,14 +62,15 @@ class TrainConfig:
     epochs: int = 250
     shots: int = 16384
     seed: int = 0
-    forward_mode: str = QUANTUM
+    forward_mode: ForwardMode = QUANTUM
 
     def __post_init__(self):
         for name in ("batch_size", "epochs", "shots"):
             object.__setattr__(self, name, as_int(getattr(self, name), name, minimum=1))
         object.__setattr__(self, "seed", as_int(self.seed, "seed"))
         _check_learning_rate(self.learning_rate)
-        _check_mode(self.forward_mode)
+        mode = as_enum(ForwardMode, self.forward_mode, "forward_mode")
+        object.__setattr__(self, "forward_mode", mode)
 
 
 @dataclass
@@ -126,15 +125,10 @@ def _check_learning_rate(value):
     return value
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in (CLASSICAL, QUANTUM):
-        raise InvalidArgument(f"unknown forward mode {mode!r}")
-
-
 def forward(
     model: Model,
     x: np.ndarray,
-    mode: str = CLASSICAL,
+    mode: ForwardMode = CLASSICAL,
     shots: int = 16384,
     seed: int = 0,
 ):
@@ -142,7 +136,8 @@ def forward(
 
     x may be one sample (dims,) or a batch (samples, dims). Returns
     (logits, hidden, jobs) with logits/hidden shaped (outputs|hidden, batch);
-    jobs counts the estimation jobs dispatched.
+    jobs counts the estimation jobs dispatched. mode is a ForwardMode member
+    or its value string.
     """
     xb = np.atleast_2d(np.asarray(x, dtype=np.float64))  # samples x dims
     if xb.shape[1] != model.w1.shape[1]:
@@ -153,8 +148,7 @@ def forward(
         raise ShapeMismatch(
             f"W2 {model.w2.shape} does not chain with W1 {model.w1.shape}"
         )
-    _check_mode(mode)
-    exact = mode == CLASSICAL
+    exact = as_enum(ForwardMode, mode, "mode") is CLASSICAL
     r1 = matmul(model.w1, xb.T, MatMulConfig(shots=shots, seed=derive_seed(seed, 1), exact=exact))
     hidden = sigmoid(r1.c)
     r2 = matmul(model.w2, hidden, MatMulConfig(shots=shots, seed=derive_seed(seed, 2), exact=exact))
@@ -162,7 +156,7 @@ def forward(
 
 
 def _loss_and_grads(model: Model, xb: np.ndarray, y: np.ndarray,
-                    mode: str, shots: int, seed: int):
+                    mode: ForwardMode, shots: int, seed: int):
     """Summed cross-entropy loss and its weight gradients for one mini-batch.
 
     The loss is accumulated (not averaged) over the batch, so the step size
@@ -185,7 +179,7 @@ def _loss_and_grads(model: Model, xb: np.ndarray, y: np.ndarray,
     return loss, dw1, dw2, jobs
 
 
-def _accuracy(model: Model, data: Dataset, mode: str, shots: int, seed: int) -> tuple[float, int]:
+def _accuracy(model: Model, data: Dataset, mode: ForwardMode, shots: int, seed: int) -> tuple[float, int]:
     """Argmax-logit accuracy on the nonempty test split, and the jobs it took."""
     idx = data.test_idx
     logits, _, jobs = forward(model, data.features[idx], mode=mode, shots=shots, seed=seed)
@@ -195,7 +189,7 @@ def _accuracy(model: Model, data: Dataset, mode: str, shots: int, seed: int) -> 
 def evaluate(
     model: Model,
     data: Dataset,
-    mode: str = CLASSICAL,
+    mode: ForwardMode = CLASSICAL,
     shots: int = 16384,
     seed: int = 0,
 ) -> float:
@@ -218,7 +212,7 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[Model, TrainReport]:
             f"{data.n_classes} classes exceed {cfg.shape.outputs} outputs"
         )
     model = init_model(cfg.shape, cfg.seed)
-    report = TrainReport(mode=cfg.forward_mode)
+    report = TrainReport(mode=cfg.forward_mode.value)
     started = time.perf_counter()
     for epoch in range(cfg.epochs):
         order = job_rng(derive_seed(cfg.seed, _TAG_SHUFFLE, epoch)).permutation(
@@ -344,17 +338,19 @@ _IDX_LABELS_MAGIC = 0x00000801
 
 
 def _read_idx(path, magic: int, header_dims: int) -> tuple[tuple, np.ndarray]:
+    """Header dims and uint8 payload of an IDX file, whose payload must be
+    exactly as long as its header declares."""
     raw = Path(path).read_bytes()
     header = 4 * (1 + header_dims)
     if len(raw) < header:
-        raise TruncatedFile(f"{path}: missing IDX header")
+        raise ParseError(f"{path}: missing IDX header")
     fields = struct.unpack(f">{1 + header_dims}I", raw[:header])
     if fields[0] != magic:
-        raise MagicMismatch(f"{path}: magic 0x{fields[0]:08x}, expected 0x{magic:08x}")
+        raise ParseError(f"{path}: magic 0x{fields[0]:08x}, expected 0x{magic:08x}")
     dims = fields[1:]
     count = int(np.prod(dims))
-    if len(raw) < header + count:
-        raise TruncatedFile(
+    if len(raw) != header + count:
+        raise ParseError(
             f"{path}: payload holds {len(raw) - header} bytes, header declares {count}"
         )
     body = np.frombuffer(raw, dtype=np.uint8, count=count, offset=header)

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import BudgetTooSmall, InvalidEpsilon, PlanJobMismatch, as_enum, as_int
+from .errors import InvalidArgument, PlanJobMismatch, as_enum, as_int
 from .hadamard import HadamardJob, sample_hadamard
 
 
@@ -95,7 +95,7 @@ def plan_jobs(
     pattern = as_enum(StackingPattern, pattern, "pattern")
     q = qubits_per_test(dim)
     if qubit_budget < q:
-        raise BudgetTooSmall(
+        raise InvalidArgument(
             f"budget {qubit_budget} < {q} qubits needed for a single test"
         )
     cap = qubit_budget // q
@@ -115,7 +115,7 @@ def complexity_report(p: StackingPlan, epsilon: float) -> dict:
     and the classical preparation floor. Asserted against formulas, not
     wall-clock."""
     if not (0.0 < epsilon < 1.0):
-        raise InvalidEpsilon(f"epsilon must be in (0, 1), got {epsilon}")
+        raise InvalidArgument(f"epsilon must be in (0, 1), got {epsilon}")
     shots_per_job = math.ceil(1.0 / epsilon**2)
     n_equiv = math.isqrt(p.total_jobs)
     return {

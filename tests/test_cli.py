@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from conftest import write_idx_images, write_idx_labels
 from qstacker import checks, cli, nn
 from qstacker.cli import main
-from qstacker.matio import read_matrix_csv, write_matrix_csv
+from qstacker.errors import InvalidDistribution, NoCrossing
+from qstacker.matio import read_matrix_csv, write_matrix_bin, write_matrix_csv
 
 
 @pytest.fixture
@@ -113,6 +115,23 @@ class TestEntropySweepCommand:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("error, code", [(NoCrossing, 0), (InvalidDistribution, 3)])
+    def test_only_a_missing_crossing_is_skipped(self, tmp_path, capsys, monkeypatch, error, code):
+        """A pair whose curves do not cross is left out of correlation.json;
+        any other error from crossing_point ends the command."""
+        def planted(a, b):
+            raise error("planted")
+
+        monkeypatch.setattr(cli, "crossing_point", planted)
+        argv = ["entropy-sweep", "--families", "uniform,exponential", "--levels", "3",
+                "--dim", "8", "--shots", "64", "--reps", "10", "--out", str(tmp_path)]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == "data error: planted\n"
+        else:
+            assert json.loads((tmp_path / "correlation.json").read_text())["crossing_points"] == []
+
     def test_sweep_outputs_byte_deterministic(self, tmp_path, capsys):
         outputs = []
         for name in ("s1", "s2"):
@@ -207,6 +226,74 @@ class TestExitCodes:
         cfg.write_text(f"shape=4,4,3\nsplit_seed=abc\ndataset={iris_path}\n")
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 3
         assert "split_seed='abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case, code", [
+        ("budget-too-small", 2),
+        ("unknown-family", 2),
+        ("bin-too-long", 3),
+        ("bin-too-short", 3),
+        ("csv-with-nan", 3),
+        ("shapes-do-not-chain", 3),
+        ("idx-bad-magic", 3),
+        ("idx-too-long", 3),
+    ])
+    def test_each_reachable_error_maps_to_its_exit_code(self, tmp_path, capsys, case, code):
+        """One bad input per error a command can meet; exit 2 is InvalidArgument
+        and exit 3 every other QStackerError."""
+        ok = tmp_path / "ok.csv"
+        write_matrix_csv(ok, np.eye(2))
+        bad = tmp_path / "bad.bin"
+        write_matrix_bin(bad, np.ones((2, 2)))
+        if case == "bin-too-long":
+            bad.write_bytes(bad.read_bytes() + bytes(8))
+        elif case == "bin-too-short":
+            bad.write_bytes(bad.read_bytes()[:-8])
+        elif case == "csv-with-nan":
+            bad = tmp_path / "bad.csv"
+            bad.write_text("1.0,nan\n0.0,1.0\n")
+        elif case == "shapes-do-not-chain":
+            write_matrix_bin(bad, np.ones((2, 3)))
+        images, labels = tmp_path / "images-idx", tmp_path / "labels-idx"
+        write_idx_images(images, np.zeros((12, 2, 2)))
+        write_idx_labels(labels, np.arange(12) % 3)
+        if case == "idx-bad-magic":
+            images.write_bytes(b"\0\0\x08\x01" + images.read_bytes()[4:])
+        elif case == "idx-too-long":
+            labels.write_bytes(labels.read_bytes() + b"\0\0")
+        run = tmp_path / "run.cfg"
+        run.write_text(f"shape=4,2,3\nepochs=1\nmode=classical\nmnist_images={images}\n"
+                       f"mnist_labels={labels}\n")
+        argv = {
+            "budget-too-small": ["plan", "--n", "2", "--dim", "4", "--budget", "1"],
+            "unknown-family": ["entropy-sweep", "--families", "cauchy", "--out", str(tmp_path)],
+            "idx-bad-magic": ["train", "--config", str(run), "--out", str(tmp_path)],
+            "idx-too-long": ["train", "--config", str(run), "--out", str(tmp_path)],
+        }.get(case, ["matmul", "--a", str(bad), "--b", str(ok), "--exact", "--out", str(tmp_path)])
+        assert main(argv) == code
+        prefix = {2: "usage error: ", 3: "data error: "}[code]
+        assert capsys.readouterr().err.startswith(prefix)
+
+    def test_train_never_reads_the_seed_environment(self, tmp_path, iris_path, monkeypatch, capsys):
+        monkeypatch.setenv("AQ_SEED", "abc")  # malformed: reading it would exit 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"shape=4,4,3\nepochs=1\nmode=classical\ndataset={iris_path}\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["matmul", "entropy-sweep", "verify"])
+    def test_seeded_commands_read_the_seed_environment(self, matrices, tmp_path, monkeypatch,
+                                                       capsys, command):
+        """$AQ_SEED is read when --seed is absent, and only then."""
+        _, _, pa, pb = matrices
+        monkeypatch.setenv("AQ_SEED", "abc")
+        argv = {"matmul": ["matmul", "--a", str(pa), "--b", str(pb), "--out", str(tmp_path)],
+                "entropy-sweep": ["entropy-sweep", "--levels", "3", "--dim", "8", "--shots", "64",
+                                  "--reps", "10", "--out", str(tmp_path)],
+                "verify": ["verify"]}[command]
+        assert main(argv) == 2
+        assert "AQ_SEED" in capsys.readouterr().err
+        assert main(argv + ["--seed", "7"]) == 0
+        capsys.readouterr()
 
     def test_internal_value_error_propagates(self, monkeypatch):
         def broken(args):

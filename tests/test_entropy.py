@@ -21,16 +21,7 @@ from qstacker import (
     variance_sweep,
 )
 from qstacker.entropy import LN2, _isotonic_decreasing, shannon_entropy, write_sweep_csv
-from qstacker.errors import (
-    ConstantSeries,
-    InsufficientOverlap,
-    InvalidArgument,
-    InvalidDistribution,
-    InvalidEntropy,
-    InvalidSupport,
-    NoCrossing,
-    TooFewPoints,
-)
+from qstacker.errors import ConstantSeries, InvalidArgument, InvalidDistribution, NoCrossing
 
 FAMILIES = list(StateFamily)
 
@@ -71,7 +62,7 @@ class TestDividendBound:
     def test_zero_entropy(self):
         assert dividend_bound(0.0, 100) == 0.0
         for h in (-1e-9, float("nan"), float("inf")):  # zero is the least entropy there is
-            with pytest.raises(InvalidEntropy):
+            with pytest.raises(InvalidArgument, match="entropy must be finite and >= 0"):
                 dividend_bound(h, 10)
 
     def test_ln4_at_8192(self):
@@ -118,11 +109,11 @@ class TestGenerateState:
         assert np.array_equal(d1.p, d2.p)
 
     def test_invalid_support(self):
-        with pytest.raises(InvalidSupport):
+        with pytest.raises(InvalidArgument, match=r"support 9 outside \[1, 8\]"):
             generate_state(StateFamily.UNIFORM, 8, seed=1, support=9)
-        with pytest.raises(InvalidSupport):
+        with pytest.raises(InvalidArgument, match="need support size >= 2, got n=1"):
             generate_state(StateFamily.UNIFORM, 1, seed=1)
-        with pytest.raises(InvalidSupport):
+        with pytest.raises(InvalidArgument, match=r"interpolation parameter t=1.5 outside \[0, 1\]"):
             generate_state(StateFamily.INTERPOLATED, 8, seed=1, t=1.5)
 
 
@@ -287,7 +278,7 @@ class TestPearson:
             pearson([1.0, 2.0, float("nan"), 4.0], [1.0, 3.0, 2.0, 5.0])
 
     def test_too_few_points(self):
-        with pytest.raises(TooFewPoints):
+        with pytest.raises(InvalidArgument, match="need at least 3 points, got 2"):
             pearson([1.0, 2.0], [2.0, 1.0])
 
     def test_reference_fixture(self):
@@ -325,7 +316,7 @@ class TestCrossingPoint:
     def test_disjoint_ranges(self):
         a = [(0.0, 1.0), (1.0, 0.5)]
         b = [(2.0, 1.0), (3.0, 0.5)]
-        with pytest.raises(InsufficientOverlap):
+        with pytest.raises(NoCrossing, match=r"no shared entropy interval \(2.0, 1.0\)"):
             crossing_point(a, b)
 
     def test_non_crossing_parallel(self):
@@ -360,11 +351,11 @@ def _reference_crossing(sweep_a, sweep_b):
     xa, ya = _reference_points(sweep_a)
     xb, yb = _reference_points(sweep_b)
     if len(xa) < 2 or len(xb) < 2:
-        raise InsufficientOverlap("each sweep needs at least two entropy levels")
+        raise NoCrossing("each sweep needs at least two entropy levels")
     lo = max(xa.min(), xb.min())
     hi = min(xa.max(), xb.max())
     if not (hi > lo):
-        raise InsufficientOverlap(f"no shared entropy interval ({lo}, {hi})")
+        raise NoCrossing(f"no shared entropy interval ({lo}, {hi})")
     fa = _isotonic_decreasing(ya)
     fb = _isotonic_decreasing(yb)
     grid = np.union1d(np.linspace(lo, hi, 2049), np.concatenate([xa, xb]))
@@ -464,12 +455,11 @@ class TestAdaptiveShots:
         assert all(b <= a for a, b in zip(values, values[1:]))
 
     def test_invalid_entropy(self):
-        with pytest.raises(InvalidEntropy) as exc:
+        with pytest.raises(InvalidArgument, match=r"entropy 5.0 outside \[0, 1.0\]"):
             adaptive_shots(5.0, 1.0, 0.1, 100)
-        assert isinstance(exc.value, InvalidArgument)  # a usage error
-        with pytest.raises(InvalidEntropy):
+        with pytest.raises(InvalidArgument, match=r"entropy -0.5 outside \[0, 1.0\]"):
             adaptive_shots(-0.5, 1.0, 0.1, 100)
-        with pytest.raises(InvalidEntropy):
+        with pytest.raises(InvalidArgument, match=r"entropy nan outside \[0, 2.0\]"):
             adaptive_shots(float("nan"), 2.0, 0.1, 10**6)
-        with pytest.raises(InvalidEntropy):
+        with pytest.raises(InvalidArgument, match=r"entropy 1.0 outside \[0, inf\]"):
             adaptive_shots(1.0, float("inf"), 0.1, 100)

@@ -13,7 +13,7 @@ from qstacker import (
     sample_hadamard,
     swap_test_overlap_squared,
 )
-from qstacker.errors import DimMismatch, DimNotPowerOfTwo, DimTooLarge, ZeroState
+from qstacker.errors import ShapeMismatch, ZeroState
 from qstacker.hadamard import ShotResult
 from qstacker.vectors import EncodedState
 
@@ -77,7 +77,7 @@ class TestAnalyticOverlap:
             assert type(mu) is float and bits(mu) == bits(old(psi, phi))
 
     def test_dim_mismatch(self):
-        with pytest.raises(DimMismatch):
+        with pytest.raises(ShapeMismatch, match="2 != 3"):
             analytic_overlap(encode([1, 0]), encode([1, 0, 0]))
 
     def test_zero_state(self):
@@ -200,13 +200,13 @@ class TestCircuitVerify:
         assert circuit_verify(psi, phi) == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_non_power_of_two(self):
-        with pytest.raises(DimNotPowerOfTwo):
+        with pytest.raises(ShapeMismatch, match="dim 3 is not a power of two"):
             circuit_verify(encode([1, 1, 1]), encode([1, 0, 0]))
 
     def test_rejects_too_large(self):
         big = np.zeros(1 << 11)
         big[0] = 1.0
-        with pytest.raises(DimTooLarge):
+        with pytest.raises(ShapeMismatch, match="11 data qubits exceeds the 10-qubit verification scale"):
             circuit_verify(encode(big), encode(big))
 
 

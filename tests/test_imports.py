@@ -1,4 +1,4 @@
-"""Two lints over the package source.
+"""Three lints over the package source.
 
 No linter ships with the toolchain, so these tests parse each module of the
 package:
@@ -6,7 +6,10 @@ package:
     since its imports are its public names; so are `from __future__`
     imports, which are compiler directives);
   * every `raise` names an exception class of `qstacker.errors`, so no bare
-    `ValueError` or `KeyError` escapes the error taxonomy.
+    `ValueError` or `KeyError` escapes the error taxonomy;
+  * every class of `qstacker.errors` but the `QStackerError` base is raised
+    by name somewhere in the package, so the taxonomy holds no class that
+    no caller can meet.
 """
 
 import ast
@@ -65,8 +68,8 @@ TAXONOMY = {name for name, obj in vars(errors).items()
             if inspect.isclass(obj) and obj.__module__ == errors.__name__}
 
 
-def foreign_raises(source: str) -> list[str]:
-    """`raise` statements whose exception is not a class of qstacker.errors;
+def raised(source: str) -> list[tuple[int, ast.expr, str | None]]:
+    """(line, expression, class name) of each `raise` that names an exception;
     a bare `raise` re-raises and is left out."""
     found = []
     for node in ast.walk(ast.parse(source)):
@@ -74,9 +77,23 @@ def foreign_raises(source: str) -> list[str]:
             continue
         target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
         name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
-        if name not in TAXONOMY:
-            found.append((node.lineno, ast.unparse(target)))
-    return [f"line {line}: {text}" for line, text in sorted(found)]
+        found.append((node.lineno, target, name))
+    return found
+
+
+def foreign_raises(source: str) -> list[str]:
+    """`raise` statements whose exception is not a class of qstacker.errors."""
+    found = sorted((line, ast.unparse(target)) for line, target, name in raised(source)
+                   if name not in TAXONOMY)
+    return [f"line {line}: {text}" for line, text in found]
+
+
+def unraised_classes(taxonomy_source: str, sources: list[str]) -> list[str]:
+    """Classes defined in taxonomy_source, other than QStackerError, that no
+    `raise` in sources names; catching a class does not count."""
+    defined = {node.name for node in ast.parse(taxonomy_source).body if isinstance(node, ast.ClassDef)}
+    named = {name for source in sources for _, _, name in raised(source)}
+    return sorted(defined - named - {"QStackerError"})
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -99,3 +116,30 @@ def test_a_foreign_raise_is_reported():
         "    raise KeyError\n"
     )
     assert foreign_raises(source) == ["line 4: ValueError", "line 11: KeyError"]
+
+
+def test_every_error_class_is_raised():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert unraised_classes((PACKAGE / "errors.py").read_text(), sources) == []
+
+
+def test_an_unraised_error_class_is_reported():
+    taxonomy = (
+        "class QStackerError(Exception):\n"
+        "    pass\n"
+        "class Raised(QStackerError):\n"
+        "    pass\n"
+        "class OnlyCaught(QStackerError):\n"
+        "    pass\n"
+        "class Unused(OnlyCaught):\n"
+        "    pass\n"
+    )
+    module = (
+        "from .errors import OnlyCaught, Raised\n"
+        "def f(x):\n"
+        "    try:\n"
+        "        raise Raised(x)\n"
+        "    except OnlyCaught:\n"
+        "        return None\n"
+    )
+    assert unraised_classes(taxonomy, [module]) == ["OnlyCaught", "Unused"]

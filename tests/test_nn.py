@@ -20,14 +20,7 @@ from qstacker import (
     train,
 )
 from qstacker import nn
-from qstacker.errors import (
-    EmptyDataset,
-    InvalidArgument,
-    MagicMismatch,
-    ParseError,
-    ShapeMismatch,
-    TruncatedFile,
-)
+from qstacker.errors import EmptyDataset, InvalidArgument, ParseError, ShapeMismatch
 from qstacker.nn import (
     _TAG_EVAL,
     CLASSICAL,
@@ -96,9 +89,9 @@ class TestForward:
         monkeypatch.setattr(qstacker.stacking, "sample_hadamard", dispatched.append)
         model = Model(w1=np.ones((4, 4)), w2=np.ones((3, 4)))
         data = tiny_dataset()
-        with pytest.raises(ValueError, match="unknown forward mode 'Classical'"):
+        with pytest.raises(ValueError, match="mode must be one of classical, quantum, got 'Classical'"):
             forward(model, np.ones(4), mode="Classical")
-        with pytest.raises(ValueError, match="unknown forward mode 'sampled'"):
+        with pytest.raises(ValueError, match="mode must be one of classical, quantum, got 'sampled'"):
             evaluate(model, data, mode="sampled")
         assert dispatched == []
 
@@ -348,15 +341,20 @@ class TestMnistIngest:
         raw = bytearray(images.read_bytes())
         raw[3] = 0x42
         bad.write_bytes(bytes(raw))
-        with pytest.raises(MagicMismatch):
+        with pytest.raises(ParseError, match="magic 0x00000842, expected 0x00000803"):
             ingest_mnist_idx(bad, labels)
 
     def test_truncated(self, tmp_path, mnist_idx_files):
+        """The payload must be exactly the size the header declares: 100 bytes
+        short and one byte extra are both refused."""
         images, labels = mnist_idx_files
+        declared = 800 * 28 * 28
         cut = tmp_path / "cut-idx"
-        cut.write_bytes(images.read_bytes()[:-100])
-        with pytest.raises(TruncatedFile):
-            ingest_mnist_idx(cut, labels)
+        raw = images.read_bytes()
+        for payload, held in ((raw[:-100], declared - 100), (raw + b"\0", declared + 1)):
+            cut.write_bytes(payload)
+            with pytest.raises(ParseError, match=f"payload holds {held} bytes, header declares {declared}"):
+                ingest_mnist_idx(cut, labels)
 
 
 class TestRunConfig:
@@ -460,5 +458,6 @@ def test_readme_lists_every_run_file_key_with_its_default():
     assert set(rows) == nn._TRAIN_KEYS | nn._IRIS_KEYS | nn._IDX_KEYS
     defaults = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
     for key, (name, _) in nn._CONFIG_KEYS.items():
-        assert rows[key] == str(defaults[name]), key
+        default = defaults[name]  # the forward mode's default is a ForwardMode member
+        assert rows[key] == str(getattr(default, "value", default)), key
     assert rows["split_seed"] == str(nn.SPLIT_SEED)
