@@ -2,15 +2,15 @@
 
 matmul is _prepare, then _sample (exact mode skips it), then _reconstruct:
 
-  _prepare      returns the validated float64 operands, the row norms of A,
-                the column norms of B and, in exact mode, the overlaps
-                M = clip(A_hat @ B_hat); exact mode takes z_hat = M, giving
-                the classical product up to rounding.
+  _prepare      validates both operands and normalizes each once: the unit
+                rows of A and of B transposed, norms as (mantissa, exponent).
+                Exact mode takes z_hat = M = clip(A_hat @ B_hat) from them,
+                giving the classical product up to rounding.
   _sample       returns (z_hat, true_overlap, plan): one Hadamard-test job
                 per live element, whose seed is derived from (master seed,
                 i, j), so results are independent of the layout.
-  _reconstruct  returns the MatMulResult with C_ij = ||A_i|| ||B_j|| z_hat_ij;
-                no other code builds one.
+  _reconstruct  returns the MatMulResult with C_ij = ||A_i|| ||B_j|| z_hat_ij,
+                applying the norms' exponents last; no other code builds one.
 
 Elements whose row or column norm is zero are exact zeros with no job.
 """
@@ -26,7 +26,7 @@ from .errors import ShapeMismatch, as_enum, as_int
 from .hadamard import HadamardJob, analytic_overlap, estimate
 from .seeding import derive_seed
 from .stacking import StackingPattern, StackingPlan, execute_plan, plan_jobs
-from .vectors import _norm, as_matrix, prepare_all
+from .vectors import _unit_rows, as_matrix, prepare_all
 
 UNBOUNDED_BUDGET = 1 << 40  # wide enough that no realistic plan ever splits
 
@@ -64,26 +64,20 @@ class MatMulResult:
     norm_products: np.ndarray = field(repr=False)
 
 
-def _prepare(a, b, exact: bool):
-    """(am, bm, a_norms, b_norms, M), with M None unless exact."""
+def _prepare(a, b):
+    """(A's rows, B's columns), each a vectors._unit_rows triple (unit, mant, exp)."""
     am = as_matrix(a)
     bm = as_matrix(b)
     if am.shape[1] != bm.shape[0]:
         raise ShapeMismatch(f"cannot multiply {am.shape} by {bm.shape}")
-    a_norms = _norm(am, axis=1)
-    b_norms = _norm(bm, axis=0)
-    if not exact:
-        return am, bm, a_norms, b_norms, None
-    # a row or column of zero norm becomes zero, so its overlaps are exact zeros
-    a_hat = np.divide(am, a_norms[:, None], out=np.zeros_like(am), where=a_norms[:, None] != 0.0)
-    b_hat = np.divide(bm, b_norms, out=np.zeros_like(bm), where=b_norms != 0.0)
-    return am, bm, a_norms, b_norms, np.clip(a_hat @ b_hat, -1.0, 1.0)
+    return _unit_rows(np.ascontiguousarray(am)), _unit_rows(np.ascontiguousarray(bm.T))
 
 
-def _sample(am, bm, a_norms, b_norms, cfg: MatMulConfig):
+def _sample(a_rows, b_cols, cfg: MatMulConfig):
     """(z_hat, true_overlap, plan), estimated one job per live element."""
-    rows, cols = am.shape[0], bm.shape[1]
-    row_states, col_states = prepare_all(am, bm)
+    (_, a_mant, _), (_, b_mant, _) = a_rows, b_cols
+    rows, cols = len(a_mant), len(b_mant)
+    row_states, col_states = prepare_all(a_rows, b_cols)
     seeds = derive_seed(
         cfg.seed, np.arange(rows, dtype=np.uint64)[:, None], np.arange(cols, dtype=np.uint64)
     ).tolist()
@@ -91,7 +85,7 @@ def _sample(am, bm, a_norms, b_norms, cfg: MatMulConfig):
         (i, j)
         for i in range(rows)
         for j in range(cols)
-        if a_norms[i] != 0.0 and b_norms[j] != 0.0
+        if a_mant[i] != 0.0 and b_mant[j] != 0.0
     ]
     jobs = [
         HadamardJob(
@@ -102,7 +96,7 @@ def _sample(am, bm, a_norms, b_norms, cfg: MatMulConfig):
         )
         for i, j in live
     ]
-    the_plan = plan_jobs(len(jobs), cols, am.shape[1], cfg.pattern, cfg.qubit_budget)
+    the_plan = plan_jobs(len(jobs), cols, a_rows[0].shape[1], cfg.pattern, cfg.qubit_budget)
     results = execute_plan(the_plan, jobs)
     z_hat = np.zeros((rows, cols))
     true_overlap = np.zeros((rows, cols))
@@ -113,30 +107,34 @@ def _sample(am, bm, a_norms, b_norms, cfg: MatMulConfig):
     return z_hat, true_overlap, the_plan
 
 
-def _reconstruct(z_hat, true_overlap, the_plan, a_norms, b_norms, cfg: MatMulConfig) -> MatMulResult:
-    """The MatMulResult with C_ij = ||A_i|| * ||B_j|| * z_hat_ij."""
-    norm_products = np.outer(a_norms, b_norms)
+def _reconstruct(z_hat, true_overlap, the_plan, a_rows, b_cols, cfg: MatMulConfig) -> MatMulResult:
+    """The MatMulResult with C_ij = ||A_i|| * ||B_j|| * z_hat_ij, whose norms'
+    exponents apply last, so C is finite wherever the classical product is."""
+    mant = np.outer(a_rows[1], b_cols[1])
+    exp = a_rows[2][:, None] + b_cols[2]
     return MatMulResult(
-        c=norm_products * z_hat,
+        c=np.ldexp(mant * z_hat, exp),
         z_hat=z_hat,
         true_overlap=true_overlap,
         plan_used=the_plan,
         cache_hits=0,
-        cache_misses=len(a_norms) + len(b_norms),
+        cache_misses=len(mant) + len(b_cols[1]),
         job_count=the_plan.total_jobs,
         shots=cfg.shots,
         exact=cfg.exact,
-        norm_products=norm_products,
+        norm_products=np.ldexp(mant, exp),
     )
 
 
 def matmul(a, b, cfg: MatMulConfig) -> MatMulResult:
     """C = A @ B, estimated element by element (exact overlaps if cfg.exact)."""
-    am, bm, a_norms, b_norms, mu = _prepare(a, b, cfg.exact)
+    a_rows, b_cols = _prepare(a, b)
     if cfg.exact:
-        the_plan = plan_jobs(0, bm.shape[1], am.shape[1], cfg.pattern, cfg.qubit_budget)
-        return _reconstruct(mu, mu, the_plan, a_norms, b_norms, cfg)
-    return _reconstruct(*_sample(am, bm, a_norms, b_norms, cfg), a_norms, b_norms, cfg)
+        # B's own layout: a transposed operand can change the product's bits
+        mu = np.clip(a_rows[0] @ np.ascontiguousarray(b_cols[0].T), -1.0, 1.0)
+        the_plan = plan_jobs(0, len(b_cols[1]), a_rows[0].shape[1], cfg.pattern, cfg.qubit_budget)
+        return _reconstruct(mu, mu, the_plan, a_rows, b_cols, cfg)
+    return _reconstruct(*_sample(a_rows, b_cols, cfg), a_rows, b_cols, cfg)
 
 
 def error_budget(norm_product, shots: int, mu=0.0):

@@ -5,12 +5,12 @@ as classical metadata, so inner products of encoded states can be rescaled
 back to classical dot products. Zero vectors encode to a sentinel state with
 source_norm 0; downstream reconstruction forces those products to zero
 instead of dispatching an undefined normalized state. Every norm comes from
-one rule, _norm, so encode's sentinel and the row/column norms agree.
+one rule, _unit_rows, which takes columns as rows of the transpose and a
+vector as a one-row matrix, so encode and the row/column norms agree.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,29 +68,31 @@ class EncodedState:
         return self.amplitudes ** 2
 
 
-# below this norm the sum of squares has left float64's normal range
-_SQRT_TINY = math.sqrt(np.finfo(np.float64).tiny)
+def _unit_rows(rows: np.ndarray):
+    """(unit rows, mantissas, exponents) of a C-contiguous 2-D array.
 
-
-def _norm(arr: np.ndarray, axis: int | None = None):
-    """Euclidean norm of a vector (axis None) or of each row/column.
-
-    Where the plain sum of squares overflows to inf or underflows below the
-    normal range, the entries are first divided by their largest magnitude;
-    everywhere else the result is np.linalg.norm's, bit for bit.
+    Each row is divided exactly by 2**e, the power of two of its largest
+    magnitude, so its sum of squares, taken pairwise along the row, lies in
+    [0.25, len(row)): ||row|| = mantissa * 2**e. A zero row gives 0, 0, zeros.
     """
-    with np.errstate(over="ignore"):  # an inf here is rescued below
-        if axis is None:  # np.linalg.norm's arithmetic, without its dispatch cost
-            plain = lo = hi = math.sqrt(arr.dot(arr))
-        else:
-            plain = np.linalg.norm(arr, axis=axis)
-            lo, hi = plain.min(), plain.max()
-    if _SQRT_TINY <= lo and hi < math.inf:
-        return plain
-    scale = np.max(np.abs(arr), axis=axis, keepdims=True)
-    scaled = np.linalg.norm(arr / np.where(scale == 0.0, 1.0, scale), axis=axis)
-    rescue = np.isinf(plain) | (plain < _SQRT_TINY)
-    return np.where(rescue, scaled * scale.reshape(np.shape(plain)), plain)
+    _, exp = np.frexp(np.abs(rows).max(axis=1))
+    unit = np.ldexp(rows, -exp[:, None])
+    mant = np.sqrt(np.add.reduce(unit * unit, axis=1))
+    unit /= np.where(mant == 0.0, 1.0, mant)[:, None]  # a zero row stays zero
+    return unit, mant, exp
+
+
+def _norm(arr: np.ndarray, axis: int) -> np.ndarray:
+    """Euclidean norm of each row (axis 1) or column (axis 0), by _unit_rows' rule."""
+    _, mant, exp = _unit_rows(np.ascontiguousarray(arr if axis == 1 else arr.T))
+    return np.ldexp(mant, exp)
+
+
+def _states(unit, mant, exp) -> list:
+    """One EncodedState per unit row of a _unit_rows triple."""
+    with np.errstate(over="ignore"):  # a norm past float64's range reads inf
+        norms = np.ldexp(mant, exp).tolist()
+    return [EncodedState(u, n) for u, n in zip(unit, norms)]
 
 
 def encode(v) -> EncodedState:
@@ -98,20 +100,10 @@ def encode(v) -> EncodedState:
 
     The zero vector returns the sentinel (all-zero amplitudes, norm 0).
     """
-    arr = as_vector(v)
-    norm = float(_norm(arr))
-    if norm == 0.0:
-        return EncodedState(np.zeros_like(arr), 0.0)
-    return EncodedState(arr / norm, norm)
+    return _states(*_unit_rows(as_vector(v)[None, :]))[0]
 
 
-def prepare_all(am: np.ndarray, bm: np.ndarray) -> tuple[list, list]:
-    """Encode every row of A and every column of B, once each.
-
-    Takes arrays that are already validated and shape-checked (matmul's
-    as_matrix results); returns (row_states, col_states), rows(A) + cols(B)
-    encode calls, with zero vectors kept as sentinels.
-    """
-    row_states = [encode(np.ascontiguousarray(am[i, :])) for i in range(am.shape[0])]
-    col_states = [encode(np.ascontiguousarray(bm[:, j])) for j in range(bm.shape[1])]
-    return row_states, col_states
+def prepare_all(a_rows, bt_rows) -> tuple[list, list]:
+    """(row_states, col_states) from matmul._prepare's _unit_rows triples of A
+    and of B transposed: one state per row and column, zero vectors as sentinels."""
+    return _states(*a_rows), _states(*bt_rows)

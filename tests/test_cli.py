@@ -73,6 +73,16 @@ class TestMatmulCommand:
         capsys.readouterr()
         assert outputs[0] == outputs[1]
 
+    def test_exact_product_of_norms_past_the_float_range(self, tmp_path, capsys):
+        # ||A_0|| overflows float64 and ||B_0|| is tiny, but a @ b is 3e8
+        pa, pb, out = tmp_path / "a.bin", tmp_path / "b.bin", tmp_path / "out"
+        write_matrix_bin(pa, np.full((1, 2), 1.5e308))
+        write_matrix_bin(pb, np.full((2, 1), 1e-300))
+        code = main(["matmul", "--a", str(pa), "--b", str(pb), "--exact", "--out", str(out)])
+        capsys.readouterr()
+        assert code == 0
+        assert read_matrix_csv(out / "product.csv")[0, 0] == pytest.approx(3e8, rel=1e-12, abs=0.0)
+
     def test_missing_file_is_data_error(self, tmp_path, capsys):
         code = main(["matmul", "--a", str(tmp_path / "nope.csv"), "--b", str(tmp_path / "nope.csv")])
         assert code == 3

@@ -1,4 +1,4 @@
-"""Three lints over the package source.
+"""Four lints over the package source.
 
 No linter ships with the toolchain, so these tests parse each module of the
 package:
@@ -9,7 +9,9 @@ package:
     `ValueError` or `KeyError` escapes the error taxonomy;
   * every class of `qstacker.errors` but the `QStackerError` base is raised
     by name somewhere in the package, so the taxonomy holds no class that
-    no caller can meet.
+    no caller can meet;
+  * no module but `vectors.py` calls `linalg.norm`, so every norm in the
+    package follows the one rule there.
 """
 
 import ast
@@ -143,3 +145,31 @@ def test_an_unraised_error_class_is_reported():
         "        return None\n"
     )
     assert unraised_classes(taxonomy, [module]) == ["OnlyCaught", "Unused"]
+
+
+def norm_calls(source: str) -> list[str]:
+    """Calls of `linalg.norm`, and imports of `norm` from a `linalg` module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("linalg.norm"):
+            found.append((node.lineno, ast.unparse(node.func)))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+            found += [(node.lineno, f"{node.module}.norm") for alias in node.names if alias.name == "norm"]
+    return [f"line {line}: {text}" for line, text in sorted(found)]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "vectors.py"],
+                         ids=lambda p: p.name)
+def test_norms_come_from_vectors(path):
+    assert norm_calls(path.read_text()) == []
+
+
+def test_a_norm_outside_vectors_is_reported():
+    source = (
+        "import numpy as np\n"
+        "from numpy.linalg import norm, qr\n"
+        "from .vectors import _norm\n"
+        "def f(m):\n"
+        "    return np.linalg.norm(m, axis=1) + _norm(m, axis=1) + np.dot(m, m)\n"
+    )
+    assert norm_calls(source) == ["line 2: numpy.linalg.norm", "line 5: np.linalg.norm"]

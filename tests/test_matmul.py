@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from conftest import triple_loop
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qstacker import MatMulConfig, StackingPattern, error_budget, matmul
+from qstacker import MatMulConfig, StackingPattern, encode, error_budget, matmul
 from qstacker.errors import InvalidArgument, NonFiniteInput, ShapeMismatch
 from qstacker.matmul import summary_dict, write_result_csv, write_summary_json
 from qstacker.stacking import qubits_per_test
@@ -197,6 +199,35 @@ class TestLayoutInvarianceProperty:
         assert exact.c.tobytes() == (exact.norm_products * exact.z_hat).tobytes()
 
 
+class TestLeadingSubBlockProperty:
+    # a leading block of A and B gives that block of the product bit for bit:
+    # an element's seed, norms and states depend on (i, j) and on its own row
+    # and column only, whatever the width of the operands around it
+    @settings(deadline=None, max_examples=100)
+    @given(
+        rows=st.integers(1, 6),
+        inner=st.integers(1, 40),
+        cols=st.integers(2, 6),
+        shots=st.integers(1, 1 << 20),
+        seed=st.integers(0, (1 << 64) - 1),
+        data=st.data(),
+    )
+    def test_a_leading_block_is_that_block_of_the_product(self, rows, inner, cols, shots, seed, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, (1 << 32) - 1), label="values"))
+        a = rng.normal(size=(rows, inner))
+        b = rng.normal(size=(inner, cols))
+        r = data.draw(st.integers(1, rows), label="block rows")
+        c = data.draw(st.just(1) | st.integers(1, cols), label="block cols")
+        cfg = MatMulConfig(shots=shots, seed=seed)
+        full, block = matmul(a, b, cfg), matmul(a[:r], b[:, :c], cfg)
+        for name in ("c", "z_hat", "true_overlap", "norm_products"):
+            assert getattr(block, name).tobytes() == getattr(full, name)[:r, :c].tobytes(), name
+        # in exact mode the BLAS product may depend on the shape; the norms may not
+        cfg = MatMulConfig(exact=True)
+        full, block = matmul(a, b, cfg), matmul(a[:r], b[:, :c], cfg)
+        assert block.norm_products.tobytes() == full.norm_products[:r, :c].tobytes()
+
+
 class TestGoldenStream:
     # a 5x7 . 7x6 product with a zero row (A[3]), a zero column (B[:, 4]) and
     # planted overlaps +1 at (0, 1) and -1 at (2, 2); the hashes pin the
@@ -241,6 +272,23 @@ class TestExtremeMagnitudes:
         r = matmul(a, np.ones((2, 1)), MatMulConfig(shots=1024, seed=31, exact=exact))
         assert r.z_hat[0, 0] == pytest.approx(1.0, rel=0.0, abs=1e-15)
         assert r.c[0, 0] == pytest.approx(2.0 * scale, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_norms_past_the_float_range_give_the_finite_product(self, exact):
+        # ||A_0|| is past float64's largest value and ||B_0|| is near its
+        # smallest normal, yet a @ b is 3e8: the norms' exponents meet last
+        a, b = np.full((1, 2), 1.5e308), np.full((2, 1), 1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = matmul(a, b, MatMulConfig(shots=1024, seed=31, exact=exact))
+        assert r.c[0, 0] == pytest.approx(3e8, rel=1e-12, abs=0.0)
+
+    def test_a_vector_whose_norm_overflows_encodes_to_finite_amplitudes(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = encode([1.5e308, 1.5e308])
+        assert np.all(np.isfinite(s.amplitudes))
+        assert np.allclose(s.amplitudes, [math.sqrt(0.5)] * 2, rtol=0.0, atol=1e-15)
 
 
 class TestZeroNormShortCircuit:

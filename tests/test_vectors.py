@@ -12,6 +12,7 @@ from qstacker.matio import (
     write_matrix_bin,
     write_matrix_csv,
 )
+from qstacker.matmul import _prepare
 from qstacker.vectors import _norm, prepare_all
 
 
@@ -78,12 +79,15 @@ class TestNorms:
         assert np.allclose(encode(m[0]).amplitudes, [0.6, 0.8], atol=1e-15)
 
     def test_ordinary_norms_are_numpy_bits(self):
+        # one rule: numpy's pairwise row sum; a column is a row of the transpose
         rng = np.random.default_rng(9)
-        m = rng.normal(size=(6, 5)) * 10.0 ** rng.integers(-150, 150, size=(6, 1))
-        assert np.array_equal(_norm(m, axis=1), np.linalg.norm(m, axis=1))
-        assert np.array_equal(_norm(m.T, axis=0), np.linalg.norm(m.T, axis=0))
-        for row in m:
-            assert encode(row).source_norm == float(np.linalg.norm(row))
+        m = rng.normal(size=(6, 64)) * 10.0 ** rng.integers(-150, 150, size=(6, 1))
+        rows = np.linalg.norm(m, axis=1)
+        assert np.array_equal(_norm(m, axis=1), rows)
+        for t in (m, m.T, np.ascontiguousarray(m.T)):  # strided and contiguous columns
+            assert np.array_equal(_norm(t, axis=0), np.linalg.norm(np.ascontiguousarray(t.T), axis=1))
+        for row, norm in zip(m, rows):
+            assert encode(row).source_norm == norm
 
     def test_identity_rows(self):
         assert np.array_equal(_norm(np.eye(2), axis=1), [1, 1])
@@ -103,11 +107,11 @@ class TestNorms:
 class TestPrepareAll:
     def test_states_are_encode_of_each_row_and_column(self):
         rng = np.random.default_rng(13)
-        a, b = rng.normal(size=(4, 3)), rng.normal(size=(3, 5))
+        a, b = rng.normal(size=(4, 9)), rng.normal(size=(9, 5))
         a[1] = a[0]  # duplicate rows
         a[2] = 0.0
         b[:, 3] = 0.0
-        row_states, col_states = prepare_all(a, b)
+        row_states, col_states = prepare_all(*_prepare(a, b))
         assert (len(row_states), len(col_states)) == (4, 5)
         for states, vectors in ((row_states, a), (col_states, b.T)):
             for state, v in zip(states, vectors):
@@ -116,7 +120,7 @@ class TestPrepareAll:
                 assert state.source_norm == fresh.source_norm
         assert np.array_equal(row_states[0].amplitudes, row_states[1].amplitudes)
         assert row_states[2].is_zero and col_states[3].is_zero
-        assert np.array_equal(row_states[2].amplitudes, np.zeros(3))
+        assert np.array_equal(row_states[2].amplitudes, np.zeros(9))
 
 
 class TestMatrixIO:
