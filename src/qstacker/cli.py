@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import os
@@ -123,10 +124,9 @@ def cmd_matmul(args) -> int:
     )
     result = run_matmul(a, b, cfg)
     args.out.mkdir(parents=True, exist_ok=True)
-    write_result_csv(result, args.out / "matmul.csv")
+    write_result_csv(result, args.out / "matmul.csv", args.out / "product.csv")
     classical = a @ b if (args.check_classical or args.exact) else None
     summary = write_summary_json(result, args.out / "matmul_summary.json", classical=classical)
-    matio.write_matrix_csv(args.out / "product.csv", result.c)
     print(json.dumps(summary))
     return EXIT_OK
 
@@ -222,9 +222,13 @@ _COMMANDS = {
 }
 
 
+# built on the first main() call and reused: parse_args keeps no state in the
+# parser, and no default is mutable
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except InvalidArgument as exc:

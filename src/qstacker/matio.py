@@ -46,7 +46,7 @@ def write_matrix_csv(path, m) -> None:
     arr = as_matrix(m)
     with open(path, "w") as fh:
         for row in arr:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def read_matrix_bin(path) -> np.ndarray:

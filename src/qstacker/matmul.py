@@ -18,7 +18,9 @@ Elements whose row or column norm is zero are exact zeros with no job.
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import count
 
 import numpy as np
 
@@ -112,6 +114,8 @@ def _reconstruct(z_hat, true_overlap, the_plan, a_rows, b_cols, cfg: MatMulConfi
     exponents apply last, so C is finite wherever the classical product is."""
     mant = np.outer(a_rows[1], b_cols[1])
     exp = a_rows[2][:, None] + b_cols[2]
+    with np.errstate(over="ignore"):  # a norm product past float64's range reads inf
+        norm_products = np.ldexp(mant, exp)
     return MatMulResult(
         c=np.ldexp(mant * z_hat, exp),
         z_hat=z_hat,
@@ -122,7 +126,7 @@ def _reconstruct(z_hat, true_overlap, the_plan, a_rows, b_cols, cfg: MatMulConfi
         job_count=the_plan.total_jobs,
         shots=cfg.shots,
         exact=cfg.exact,
-        norm_products=np.ldexp(mant, exp),
+        norm_products=norm_products,
     )
 
 
@@ -147,15 +151,27 @@ def error_budget(norm_product, shots: int, mu=0.0):
     return np.abs(norm_product) * np.sqrt(np.maximum(0.0, 1.0 - mu * mu) / shots)
 
 
-def write_result_csv(result: MatMulResult, path) -> None:
-    """Per-element dump: i, j, z_hat, c_ij, stderr (plug-in error_budget)."""
+def write_result_csv(result: MatMulResult, path, product_path=None) -> None:
+    """Per-element dump: i, j, z_hat, c_ij, stderr (plug-in error_budget).
+
+    With product_path, C goes there too, as matio.write_matrix_csv writes it,
+    from the same c_ij strings. Both files stream one row at a time: each
+    value is repr'd once, and row i goes out in one write per file.
+    """
     z = result.z_hat
     se = np.zeros_like(z) if result.exact else error_budget(result.norm_products, result.shots, mu=z)
-    with open(path, "w") as fh:
+    with (
+        open(path, "w") as fh,
+        nullcontext() if product_path is None else open(product_path, "w") as product,
+    ):
         fh.write("i,j,z_hat,c_ij,stderr\n")
-        for i, row in enumerate(zip(z.tolist(), result.c.tolist(), se.tolist())):
-            for j, (zv, cv, sv) in enumerate(zip(*row)):
-                fh.write(f"{i},{j},{zv!r},{cv!r},{sv!r}\n")
+        for i, (z_row, c_row, se_row) in enumerate(zip(z, result.c, se)):
+            cells = list(map(repr, c_row.tolist()))
+            lines = zip(count(), map(repr, z_row.tolist()), cells, map(repr, se_row.tolist()))
+            prefix = f"{i},"
+            fh.write("".join([f"{prefix}{j},{zv},{cv},{sv}\n" for j, zv, cv, sv in lines]))
+            if product is not None:
+                product.write(",".join(cells) + "\n")
 
 
 def summary_dict(result: MatMulResult, classical: np.ndarray | None = None) -> dict:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import write_idx_images, write_idx_labels
-from qstacker import checks, cli, nn
+from qstacker import MatMulConfig, checks, cli, error_budget, matmul, nn
 from qstacker.cli import main
 from qstacker.errors import InvalidDistribution, NoCrossing
 from qstacker.matio import read_matrix_csv, write_matrix_bin, write_matrix_csv
@@ -83,6 +83,52 @@ class TestMatmulCommand:
         assert code == 0
         assert read_matrix_csv(out / "product.csv")[0, 0] == pytest.approx(3e8, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_artifacts_hold_the_product_bit_for_bit(self, tmp_path, capsys, exact):
+        """matmul.csv and product.csv against per-element references, on
+        operands with a zero row, a zero column, -0.0, 5e-324, 1e16 and 1e-300."""
+        rng = np.random.default_rng(62)
+        a, b = rng.normal(size=(5, 9)), rng.normal(size=(9, 6))
+        a[1] = 0.0
+        a[2] = 0.0
+        a[2, 0] = 5e-324  # row 2 of c is subnormal or a signed zero
+        a[3, 0] = 1e16
+        a[4] *= 1e-300
+        b[:, 1] = 0.0
+        b[0, 2] = -0.0
+        b[:, 3] *= 1e-300
+        pa, pb, out = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "out"
+        write_matrix_csv(pa, a)
+        write_matrix_csv(pb, b)
+        mode = ["--exact"] if exact else []
+        assert main(["matmul", "--a", str(pa), "--b", str(pb), "--shots", "1024", "--seed", "8",
+                     *mode, "--out", str(out)]) == 0
+        capsys.readouterr()
+        r = matmul(a, b, MatMulConfig(shots=1024, seed=8, exact=exact))
+        expected = ["i,j,z_hat,c_ij,stderr"]
+        for i in range(5):
+            for j in range(6):
+                z, c = float(r.z_hat[i, j]), float(r.c[i, j])
+                se = 0.0 if exact else float(error_budget(float(r.norm_products[i, j]), r.shots, mu=z))
+                expected.append(f"{i},{j},{z!r},{c!r},{se!r}")
+        assert (out / "matmul.csv").read_text() == "\n".join(expected) + "\n"
+        write_matrix_csv(tmp_path / "reference.csv", r.c)
+        assert (out / "product.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        assert read_matrix_csv(out / "product.csv").tobytes() == r.c.tobytes()
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_norm_products_past_the_float_range_exit_zero(self, tmp_path, capsys, exact):
+        # ||A_0|| * ||B_0|| is about 2e308; warnings are errors in this suite
+        pa, pb, out = tmp_path / "a.bin", tmp_path / "b.bin", tmp_path / "out"
+        write_matrix_bin(pa, np.full((1, 2), 1e308))
+        write_matrix_bin(pb, np.array([[1.0], [-1.0]]))
+        mode = ["--exact"] if exact else ["--shots", "1024"]
+        assert main(["matmul", "--a", str(pa), "--b", str(pb), *mode, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert np.isfinite(read_matrix_csv(out / "product.csv")).all()
+        stderr = (out / "matmul.csv").read_text().splitlines()[1].rsplit(",", 1)[1]
+        assert stderr == ("0.0" if exact else "inf")
+
     def test_missing_file_is_data_error(self, tmp_path, capsys):
         code = main(["matmul", "--a", str(tmp_path / "nope.csv"), "--b", str(tmp_path / "nope.csv")])
         assert code == 3
@@ -97,6 +143,47 @@ class TestMatmulCommand:
               "--seed", "31", "--out", str(out2)])
         capsys.readouterr()
         assert (out1 / "matmul.csv").read_bytes() == (out2 / "matmul.csv").read_bytes()
+
+
+class TestParser:
+    def test_main_reuses_one_parser(self, matrices, tmp_path, capsys, monkeypatch):
+        _, _, pa, pb = matrices
+
+        def rebuilt():
+            raise AssertionError("main built a second parser")
+
+        main(["plan", "--n", "2", "--dim", "4", "--budget", "6"])
+        monkeypatch.setattr(cli, "build_parser", rebuilt)
+        assert main(["matmul", "--a", str(pa), "--b", str(pb), "--exact", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+
+    def test_no_option_carries_over_between_calls(self, matrices, tmp_path, capsys, monkeypatch):
+        _, _, pa, pb = matrices
+        monkeypatch.delenv("AQ_SEED", raising=False)
+        first, second, fresh = tmp_path / "first", tmp_path / "second", tmp_path / "fresh"
+        assert main(["matmul", "--a", str(pa), "--b", str(pb), "--exact", "--seed", "9",
+                     "--pattern", "vertical", "--budget", "40", "--out", str(first)]) == 0
+        assert main(["matmul", "--a", str(pa), "--b", str(pb), "--shots", "512",
+                     "--out", str(second)]) == 0
+        capsys.readouterr()
+        summary = json.loads((second / "matmul_summary.json").read_text())
+        assert summary["exact"] is False and summary["pattern"] == "batch"
+        r = matmul(*matrices[:2], MatMulConfig(shots=512, seed=0))
+        cli.write_result_csv(r, fresh)
+        assert (second / "matmul.csv").read_bytes() == fresh.read_bytes()
+
+    def test_help_and_usage_errors_repeat(self, capsys):
+        outputs = []
+        for _ in range(2):
+            for argv in (["--help"], ["matmul", "--help"], ["matmul"], ["plan", "--n", "x"]):
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                captured = capsys.readouterr()
+                outputs.append((argv, exc.value.code, captured.out, captured.err))
+        assert outputs[:4] == outputs[4:]
+        assert [code for _, code, _, _ in outputs[:4]] == [0, 0, 2, 2]
+        assert outputs[0][2] == cli.build_parser().format_help()
+        assert "the following arguments are required: --a, --b" in outputs[2][3]
 
 
 class TestEntropySweepCommand:

@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from qstacker import MatMulConfig, StackingPattern, encode, error_budget, matmul
 from qstacker.errors import InvalidArgument, NonFiniteInput, ShapeMismatch
+from qstacker.matio import read_matrix_csv, write_matrix_csv
 from qstacker.matmul import summary_dict, write_result_csv, write_summary_json
 from qstacker.stacking import qubits_per_test
 
@@ -283,6 +286,18 @@ class TestExtremeMagnitudes:
             r = matmul(a, b, MatMulConfig(shots=1024, seed=31, exact=exact))
         assert r.c[0, 0] == pytest.approx(3e8, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_a_norm_product_past_the_float_range_reads_inf_without_a_warning(self, exact, tmp_path):
+        # ||A_0|| * ||B_0|| is about 2e308 while c stays finite; the suite
+        # raises warnings as errors, so an overflow warning fails this test
+        r = matmul(np.full((1, 2), 1e308), np.array([[1.0], [-1.0]]),
+                   MatMulConfig(shots=1024, seed=31, exact=exact))
+        assert r.norm_products[0, 0] == math.inf
+        assert np.isfinite(r.c[0, 0])
+        write_result_csv(r, tmp_path / "matmul.csv")
+        stderr = (tmp_path / "matmul.csv").read_text().splitlines()[1].rsplit(",", 1)[1]
+        assert stderr == ("0.0" if exact else "inf")
+
     def test_a_vector_whose_norm_overflows_encodes_to_finite_amplitudes(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -424,6 +439,59 @@ class TestSerialization:
                 expected.append(f"{i},{j},{z!r},{float(r.c[i, j])!r},{se!r}")
         write_result_csv(r, tmp_path / "matmul.csv")
         assert (tmp_path / "matmul.csv").read_text() == "\n".join(expected) + "\n"
+
+    @staticmethod
+    def _planted_result(exact):
+        """A 4x5 product with a zero row and a zero column, whose c and z_hat
+        also hold -0.0, 5e-324, 1e16 and 1e-300."""
+        rng = np.random.default_rng(55)
+        a, b = rng.normal(size=(4, 9)), rng.normal(size=(9, 5))
+        a[2] = 0.0
+        b[:, 1] = 0.0
+        r = matmul(a, b, MatMulConfig(shots=2048, seed=41, exact=exact))
+        c, z = r.c.copy(), r.z_hat.copy()
+        c[0, 0], c[0, 2], c[1, 3], c[3, 4] = -0.0, 5e-324, 1e16, 1e-300
+        z[0, 0], z[1, 3] = -0.0, 5e-324
+        return dataclasses.replace(r, c=c, z_hat=z)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_csv_matches_per_element_reference(self, tmp_path, exact):
+        r = self._planted_result(exact)
+        expected = ["i,j,z_hat,c_ij,stderr"]
+        for i in range(4):
+            for j in range(5):
+                z = float(r.z_hat[i, j])
+                se = 0.0 if exact else float(error_budget(float(r.norm_products[i, j]), r.shots, mu=z))
+                expected.append(f"{i},{j},{z!r},{float(r.c[i, j])!r},{se!r}")
+        write_result_csv(r, tmp_path / "matmul.csv", tmp_path / "product.csv")
+        assert (tmp_path / "matmul.csv").read_text() == "\n".join(expected) + "\n"
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_product_csv_is_write_matrix_csv_of_c(self, tmp_path, exact):
+        r = self._planted_result(exact)
+        write_result_csv(r, tmp_path / "matmul.csv", tmp_path / "product.csv")
+        write_matrix_csv(tmp_path / "reference.csv", r.c)
+        assert (tmp_path / "product.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        back = read_matrix_csv(tmp_path / "product.csv")
+        assert back.tobytes() == r.c.tobytes()  # bit for bit, -0.0 and 5e-324 included
+        assert "-0.0," in (tmp_path / "product.csv").read_text()
+        write_result_csv(r, tmp_path / "alone.csv")
+        assert (tmp_path / "alone.csv").read_bytes() == (tmp_path / "matmul.csv").read_bytes()
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_the_writer_streams_row_by_row(self, tmp_path, exact):
+        # both files of a 128x128 product, 1.7 MB and more if either is
+        # built whole, or as one list of cells, before it is written
+        rng = np.random.default_rng(56)
+        r = matmul(rng.normal(size=(128, 24)), rng.normal(size=(24, 128)),
+                   MatMulConfig(shots=1024, seed=5, exact=exact))
+        tracemalloc.start()
+        try:
+            write_result_csv(r, tmp_path / "matmul.csv", tmp_path / "product.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
 
     def test_summary_dict_exact(self):
         r = matmul(np.eye(2), np.eye(2), MatMulConfig(exact=True))
