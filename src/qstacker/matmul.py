@@ -63,7 +63,14 @@ class MatMulResult:
     job_count: int
     shots: int
     exact: bool
-    norm_products: np.ndarray = field(repr=False)
+    # ||A_i|| * ||B_j|| as (mantissa, exponent) arrays, finite past float64's range
+    norm_parts: tuple[np.ndarray, np.ndarray] = field(repr=False)
+
+    @property
+    def norm_products(self) -> np.ndarray:
+        """||A_i|| * ||B_j||; past float64's range it reads inf, with no warning."""
+        with np.errstate(over="ignore"):
+            return np.ldexp(*self.norm_parts)
 
 
 def _prepare(a, b):
@@ -114,8 +121,6 @@ def _reconstruct(z_hat, true_overlap, the_plan, a_rows, b_cols, cfg: MatMulConfi
     exponents apply last, so C is finite wherever the classical product is."""
     mant = np.outer(a_rows[1], b_cols[1])
     exp = a_rows[2][:, None] + b_cols[2]
-    with np.errstate(over="ignore"):  # a norm product past float64's range reads inf
-        norm_products = np.ldexp(mant, exp)
     return MatMulResult(
         c=np.ldexp(mant * z_hat, exp),
         z_hat=z_hat,
@@ -126,7 +131,7 @@ def _reconstruct(z_hat, true_overlap, the_plan, a_rows, b_cols, cfg: MatMulConfi
         job_count=the_plan.total_jobs,
         shots=cfg.shots,
         exact=cfg.exact,
-        norm_products=norm_products,
+        norm_parts=(mant, exp),
     )
 
 
@@ -152,14 +157,22 @@ def error_budget(norm_product, shots: int, mu=0.0):
 
 
 def write_result_csv(result: MatMulResult, path, product_path=None) -> None:
-    """Per-element dump: i, j, z_hat, c_ij, stderr (plug-in error_budget).
+    """Per-element dump: i, j, z_hat, c_ij, stderr (plug-in error_budget of
+    the norm product, with the norms' exponents applied last).
 
     With product_path, C goes there too, as matio.write_matrix_csv writes it,
     from the same c_ij strings. Both files stream one row at a time: each
     value is repr'd once, and row i goes out in one write per file.
     """
     z = result.z_hat
-    se = np.zeros_like(z) if result.exact else error_budget(result.norm_products, result.shots, mu=z)
+    if result.exact:
+        se = np.zeros_like(z)
+    else:
+        # the norms' exponents apply last, as in c: stderr stays finite where
+        # norm_products overflows
+        mant, exp = result.norm_parts
+        with np.errstate(over="ignore"):
+            se = np.ldexp(error_budget(mant, result.shots, mu=z), exp)
     with (
         open(path, "w") as fh,
         nullcontext() if product_path is None else open(product_path, "w") as product,

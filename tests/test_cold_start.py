@@ -1,9 +1,10 @@
-"""Start-up cost: the product, plan and training paths never import scipy.
+"""Start-up cost: the product, plan, training and entropy-sweep paths never
+import scipy.
 
-scipy.stats and scipy.special take about 1.1 s to import, several times the
-rest of a CLI start. Only `pearson`'s p-value and `variance_band` need them,
-so they import scipy on first call. The probe runs in a fresh interpreter,
-because this test process may already have scipy loaded.
+scipy.stats takes about 0.8 s to import, several times the rest of a CLI
+start. Only `variance_band` needs it, and imports it on its first call;
+`pearson`'s p-value is computed in the package. The probe runs in a fresh
+interpreter, because this test process may already have scipy loaded.
 """
 
 import json
@@ -37,18 +38,20 @@ codes = [
     qstacker.cli.main(["matmul", "--a", str(out / "a.csv"), "--b", str(out / "b.csv"),
                        "--exact", "--out", str(out / "product")]),
     qstacker.cli.main(["plan", "--n", "4", "--dim", "4", "--budget", "48"]),
+    qstacker.cli.main(["entropy-sweep", "--families", "uniform,normal", "--levels", "3",
+                       "--dim", "8", "--shots", "64", "--reps", "2", "--out", str(out / "sweep")]),
 ]
 data = qstacker.nn.ingest_iris(iris)
 qstacker.nn.train(data, qstacker.nn.TrainConfig(
     shape=qstacker.nn.NetworkShape(4, 4, 3), epochs=1, shots=1024, seed=3))
 before = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 qstacker.pearson([1.0, 2.0, 3.0, 4.0], [1.0, 3.0, 2.0, 5.0])
-print(json.dumps({"codes": codes, "before": before,
-                  "stats_after_pearson": "scipy.stats" in sys.modules}))
+after = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"codes": codes, "before": before, "after": after}))
 """
 
 
-def test_product_plan_and_training_paths_do_not_import_scipy(tmp_path, iris_path):
+def test_product_plan_training_and_sweep_paths_do_not_import_scipy(tmp_path, iris_path):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
         [sys.executable, "-c", PROBE, str(tmp_path), str(iris_path)],
@@ -56,7 +59,8 @@ def test_product_plan_and_training_paths_do_not_import_scipy(tmp_path, iris_path
     )
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.strip().splitlines()[-1])
-    assert result["codes"] == [0, 0]
+    assert result["codes"] == [0, 0, 0]
     assert (tmp_path / "product" / "product.csv").is_file()
+    assert (tmp_path / "sweep" / "correlation.json").is_file()
     assert result["before"] == []
-    assert result["stats_after_pearson"] is False
+    assert result["after"] == []

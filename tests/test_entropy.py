@@ -20,7 +20,7 @@ from qstacker import (
     variance_band,
     variance_sweep,
 )
-from qstacker.entropy import LN2, _isotonic_decreasing, shannon_entropy, write_sweep_csv
+from qstacker.entropy import LN2, _isotonic_decreasing, _t_two_tailed, shannon_entropy, write_sweep_csv
 from qstacker.errors import ConstantSeries, InvalidArgument, InvalidDistribution, NoCrossing
 
 FAMILIES = list(StateFamily)
@@ -295,6 +295,73 @@ class TestPearson:
         assert stats.r == pytest.approx(0.682529168487161, abs=1e-6)
         assert stats.p_value == pytest.approx(0.0009138308323645016, abs=1e-6)
         assert stats.sample_count == 20
+
+
+def correlated_series(m: int, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """xs and ys of length m whose sample correlation is r up to rounding:
+    ys = r u + sqrt(1 - r^2) v for centred orthonormal u = xs and v."""
+    g = np.random.default_rng(m).normal(size=(m, 2))
+    u, v = np.linalg.qr(g - g.mean(axis=0))[0].T
+    return u, r * u + math.sqrt((1.0 - r) * (1.0 + r)) * v
+
+
+# |r| >= 1e-3 up to 1 - 1e-12, with denser steps near 1 where p falls fastest
+GRID_R = [1e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999, 1 - 1e-6, 1 - 1e-12]
+GRID_M = [*range(3, 61), 100, 1000, 10000]
+
+
+class TestTwoTailedPValue:
+    """The t-test p-value I_x(nu/2, 1/2), computed in the package without scipy."""
+
+    @pytest.mark.parametrize("t", [1e-9, 1e-3, 0.1, 0.5, 1.0, 2.0, 10.0, 1e3, 1e6, 1e8])
+    def test_one_degree_of_freedom_is_the_cauchy_tail(self, t):
+        expected = 2.0 / math.pi * math.atan(1.0 / t)
+        assert _t_two_tailed(1, t * t) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("t", [1e-9, 1e-3, 0.1, 0.5, 1.0, 2.0, 10.0, 1e3, 1e6, 1e8])
+    def test_two_degrees_of_freedom_closed_form(self, t):
+        root = math.sqrt(2.0 + t * t)
+        expected = 2.0 / (root * (root + t))
+        assert _t_two_tailed(2, t * t) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    def test_pearson_matches_scipy_betainc_on_a_grid(self):
+        from scipy.special import betainc
+
+        worst = (0.0, None)
+        for m in GRID_M:
+            nu = m - 2
+            for r in GRID_R + [-r for r in GRID_R]:
+                stats = pearson(*correlated_series(m, r))
+                assert stats.r == pytest.approx(r, rel=1e-6)
+                t2 = stats.r * stats.r * nu / (1.0 - stats.r * stats.r)
+                # pearson clamps p below at the smallest normal float
+                expected = max(float(betainc(nu / 2.0, 0.5, nu / (nu + t2))), np.finfo(np.float64).tiny)
+                error = abs(stats.p_value - expected) / expected
+                worst = max(worst, (error, (m, r)), key=lambda w: w[0])
+        assert worst[0] <= 1e-9, f"relative error {worst[0]:.2e} at (m, r) = {worst[1]}"
+
+    def test_zero_correlation_gives_one(self):
+        stats = pearson([-1.0, 0.0, 1.0], [1.0, -2.0, 1.0])
+        assert stats.r == 0.0
+        assert stats.p_value == 1.0
+        assert _t_two_tailed(7, 0.0) == 1.0
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_perfect_correlation_gives_the_tiny_clamp(self, sign):
+        xs = np.array([0.0, 0.0, 2.0, 2.0])  # centred sum of squares 4: r is exactly +-1
+        stats = pearson(xs, sign * xs)
+        assert stats.r == sign
+        assert stats.p_value == np.finfo(np.float64).tiny
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 10, 30, 100, 1000, 10000])
+    def test_p_never_increases_with_abs_r(self, m):
+        nu = m - 2
+        # the whole range, and a fine grid about where the fraction changes tail
+        switch = math.sqrt(1.5 / (nu / 2.0 + 2.5))  # 1 - r^2 = (a + 1)/(a + b + 2)
+        for grid in (np.linspace(0.0, 1.0 - 1e-12, 4001),
+                     np.linspace(switch * (1.0 - 1e-4), switch * (1.0 + 1e-4), 4001)):
+            ps = [_t_two_tailed(nu, r * r * nu / (1.0 - r * r)) for r in grid.tolist()]
+            assert all(later <= earlier for earlier, later in zip(ps, ps[1:]))
 
 
 class TestCrossingPoint:

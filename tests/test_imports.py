@@ -1,4 +1,4 @@
-"""Four lints over the package source.
+"""Five lints over the package source.
 
 No linter ships with the toolchain, so these tests parse each module of the
 package:
@@ -11,7 +11,9 @@ package:
     by name somewhere in the package, so the taxonomy holds no class that
     no caller can meet;
   * no module but `vectors.py` calls `linalg.norm`, so every norm in the
-    package follows the one rule there.
+    package follows the one rule there;
+  * the package's only scipy import is the one inside
+    `entropy.variance_band`, so every other path starts on numpy alone.
 """
 
 import ast
@@ -173,3 +175,51 @@ def test_a_norm_outside_vectors_is_reported():
         "    return np.linalg.norm(m, axis=1) + _norm(m, axis=1) + np.dot(m, m)\n"
     )
     assert norm_calls(source) == ["line 2: numpy.linalg.norm", "line 5: np.linalg.norm"]
+
+
+def scipy_imports(source: str) -> list[str]:
+    """`where: module` for each import of scipy, where is the enclosing
+    (dotted) function or class name, or `<module>` at the top level."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if where == "<module>" else f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [child.module]
+            else:
+                names = []
+            found.extend(f"{where}: {name}" for name in names
+                         if name == "scipy" or name.startswith("scipy."))
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_scipy_is_imported_only_by_variance_band():
+    found = [f"{path.name} {entry}" for path in sorted(PACKAGE.glob("*.py"))
+             for entry in scipy_imports(path.read_text())]
+    assert found == ["entropy.py variance_band: scipy.stats"]
+
+
+def test_a_scipy_import_elsewhere_is_reported():
+    source = (
+        "import scipy\n"
+        "import scipyx\n"
+        "from .scipy import betainc\n"
+        "def pvalue(x):\n"
+        "    from scipy.special import betainc\n"
+        "    return betainc(1.0, 0.5, x)\n"
+        "class Fit:\n"
+        "    def band(self):\n"
+        "        import numpy as np, scipy.stats as st\n"
+        "        return st, np\n"
+    )
+    assert scipy_imports(source) == [
+        "<module>: scipy", "pvalue: scipy.special", "Fit.band: scipy.stats",
+    ]

@@ -289,14 +289,21 @@ class TestExtremeMagnitudes:
     @pytest.mark.parametrize("exact", [True, False])
     def test_a_norm_product_past_the_float_range_reads_inf_without_a_warning(self, exact, tmp_path):
         # ||A_0|| * ||B_0|| is about 2e308 while c stays finite; the suite
-        # raises warnings as errors, so an overflow warning fails this test
+        # raises warnings as errors, so an overflow warning fails this test.
+        # The sampled stderr applies the norms' exponents last, as c does, so
+        # it is finite: about 2e308 * sqrt((1 - z^2)/1024), near 6.2e306
         r = matmul(np.full((1, 2), 1e308), np.array([[1.0], [-1.0]]),
                    MatMulConfig(shots=1024, seed=31, exact=exact))
         assert r.norm_products[0, 0] == math.inf
         assert np.isfinite(r.c[0, 0])
         write_result_csv(r, tmp_path / "matmul.csv")
-        stderr = (tmp_path / "matmul.csv").read_text().splitlines()[1].rsplit(",", 1)[1]
-        assert stderr == ("0.0" if exact else "inf")
+        stderr = float((tmp_path / "matmul.csv").read_text().splitlines()[1].rsplit(",", 1)[1])
+        if exact:
+            assert stderr == 0.0
+        else:
+            z = float(r.z_hat[0, 0])
+            expected = 1e308 * (2.0 * math.sqrt((1.0 - z * z) / 1024))
+            assert stderr == pytest.approx(expected, rel=1e-14)
 
     def test_a_vector_whose_norm_overflows_encodes_to_finite_amplitudes(self):
         with warnings.catch_warnings():
