@@ -1,9 +1,9 @@
 """Experiment runner CLI.
 
 Subcommands: matmul, plan, entropy-sweep, train, verify. Every run is
-deterministic given its seed flags; artifacts are CSV/JSON files written
-under --out. Exit codes: 0 ok, 2 usage error, 3 data error, 4 verification
-failure.
+deterministic given its seed flags; this module writes every artifact, as
+CSV (_csv_line) or JSON (write_json) files under --out. Exit codes: 0 ok,
+2 usage error, 3 data error, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import itertools
 import json
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -26,15 +27,8 @@ from .entropy import (
     correlation_summary,
     crossing_point,
     variance_sweep,
-    write_correlation_json,
-    write_sweep_csv,
 )
-from .matmul import (
-    MatMulConfig,
-    matmul as run_matmul,
-    write_result_csv,
-    write_summary_json,
-)
+from .matmul import MatMulConfig, MatMulResult, error_budget, matmul as run_matmul
 from .errors import InvalidArgument, NoCrossing, QStackerError, as_enum, as_int
 from .seeding import derive_seed
 
@@ -112,6 +106,129 @@ def _sweep_levels(family: StateFamily, count: int, dim: int):
     return [dim] * count  # normal: fixed full support, entropy varies by draw
 
 
+def to_json(doc, indent=None) -> str:
+    """doc as strict JSON: a non-finite float is null, never NaN or Infinity."""
+    plain = json.loads(json.dumps(doc), parse_constant=lambda name: None)
+    return json.dumps(plain, indent=indent, allow_nan=False)
+
+
+def write_json(doc, path) -> None:
+    """A JSON artifact: to_json(doc) indented 2, with a trailing newline."""
+    with open(path, "w") as fh:
+        fh.write(to_json(doc, indent=2) + "\n")
+
+
+def _csv_line(values) -> str:
+    """One CSV line: floats as repr, so they read back exactly; others as str."""
+    return ",".join(repr(v) if isinstance(v, float) else str(v) for v in values) + "\n"
+
+
+def write_result_csv(result: MatMulResult, path, product_path=None) -> None:
+    """Per-element dump: i, j, z_hat, c_ij, stderr (plug-in error_budget of
+    the norm product, with the norms' exponents applied last).
+
+    With product_path, C goes there too, as matio.write_matrix_csv writes it,
+    from the same c_ij strings. Both files stream one row at a time: each
+    value is repr'd once, and row i goes out in one write per file.
+    """
+    z = result.z_hat
+    if result.exact:
+        se = np.zeros_like(z)
+    else:
+        # the norms' exponents apply last, as in c: stderr stays finite where
+        # norm_products overflows
+        mant, exp = result.norm_parts
+        with np.errstate(over="ignore"):
+            se = np.ldexp(error_budget(mant, result.shots, mu=z), exp)
+    with (
+        open(path, "w") as fh,
+        nullcontext() if product_path is None else open(product_path, "w") as product,
+    ):
+        fh.write("i,j,z_hat,c_ij,stderr\n")
+        for i, (z_row, c_row, se_row) in enumerate(zip(z, result.c, se)):
+            cells = list(map(repr, c_row.tolist()))
+            lines = zip(itertools.count(), map(repr, z_row.tolist()), cells, map(repr, se_row.tolist()))
+            prefix = f"{i},"
+            fh.write("".join([f"{prefix}{j},{zv},{cv},{sv}\n" for j, zv, cv, sv in lines]))
+            if product is not None:
+                product.write(",".join(cells) + "\n")
+
+
+def summary_dict(result: MatMulResult, classical: np.ndarray | None = None) -> dict:
+    out = {
+        "rows": int(result.c.shape[0]),
+        "cols": int(result.c.shape[1]),
+        "pattern": result.plan_used.pattern.value,
+        "shots": result.shots,
+        "exact": result.exact,
+        "job_count": result.job_count,
+        "cache_hits": result.cache_hits,
+        "cache_misses": result.cache_misses,
+        "plan_cycles": result.plan_used.cycle_count,
+        "plan_width": result.plan_used.width,
+        "plan_degraded": result.plan_used.degraded,
+    }
+    if classical is not None:
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN: null in JSON
+            err = np.abs(result.c - classical)
+            out["max_abs_error"] = float(err.max()) if err.size else 0.0
+            out["mean_abs_error"] = float(err.mean()) if err.size else 0.0
+    return out
+
+
+def write_summary_json(result: MatMulResult, path, classical: np.ndarray | None = None) -> dict:
+    """Write summary_dict(result, classical) as JSON and return the dict."""
+    summary = summary_dict(result, classical)
+    write_json(summary, path)
+    return summary
+
+
+def _plan_doc(p: stacking.StackingPlan) -> dict:
+    return {
+        "pattern": p.pattern.value,
+        "dim": p.dim,
+        "qubits_per_test": p.qubits_per_test,
+        "total_jobs": p.total_jobs,
+        "cycle_count": p.cycle_count,
+        "width": p.width,
+        "degraded": p.degraded,
+        "cycles": [list(g) for g in p.cycles],
+    }
+
+
+def plan_to_json(p: stacking.StackingPlan) -> str:
+    """The plan as `plan` prints it: plan.json without its trailing newline."""
+    return to_json(_plan_doc(p), indent=2)
+
+
+# (header, SweepRecord field) for each sweep.csv column, in file order
+SWEEP_CSV_COLUMNS = (
+    ("family", "family"),
+    ("n", "dim"),
+    ("H_nats", "entropy_nats"),
+    ("H_bits", "entropy_bits"),
+    ("purity", "purity"),
+    ("empirical_variance", "empirical_variance"),
+    ("dividend_bound", "dividend_bound"),
+    ("shots", "shots"),
+    ("repetitions", "repetitions"),
+    ("support", "support"),
+    ("overlap_variance", "overlap_variance"),
+    ("total_variance", "total_variance"),
+    ("pairing", "pairing"),
+)
+
+
+def write_sweep_csv(records, path) -> None:
+    """One line per SweepRecord, in SWEEP_CSV_COLUMNS order."""
+    with open(path, "w") as fh:
+        fh.write(_csv_line(header for header, _ in SWEEP_CSV_COLUMNS))
+        fh.writelines(_csv_line(getattr(r, name) for _, name in SWEEP_CSV_COLUMNS) for r in records)
+
+
+write_correlation_json = write_json  # correlation.json, under its own name for perfbench's tracer
+
+
 def cmd_matmul(args) -> int:
     a = matio.read_matrix(args.a)
     b = matio.read_matrix(args.b)
@@ -125,19 +242,19 @@ def cmd_matmul(args) -> int:
     result = run_matmul(a, b, cfg)
     args.out.mkdir(parents=True, exist_ok=True)
     write_result_csv(result, args.out / "matmul.csv", args.out / "product.csv")
-    classical = a @ b if (args.check_classical or args.exact) else None
+    with np.errstate(over="ignore"):  # an overflowing entry's error is null in the summary
+        classical = a @ b if (args.check_classical or args.exact) else None
     summary = write_summary_json(result, args.out / "matmul_summary.json", classical=classical)
-    print(json.dumps(summary))
+    print(to_json(summary))
     return EXIT_OK
 
 
 def cmd_plan(args) -> int:
     p = stacking.plan(args.n, args.dim, args.pattern, args.budget)
-    text = stacking.plan_to_json(p)
-    print(text)
+    print(plan_to_json(p))
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / "plan.json").write_text(text + "\n")
+        write_json(_plan_doc(p), args.out / "plan.json")
     return EXIT_OK
 
 
@@ -145,23 +262,21 @@ def cmd_entropy_sweep(args) -> int:
     seed = _seed(args)
     families = [as_enum(StateFamily, tok.strip(), "--families")
                 for tok in args.families.split(",") if tok.strip()]
+    if not families or len(set(families)) < len(families):
+        raise InvalidArgument(f"--families must name each family once, got {args.families!r}")
     args.out.mkdir(parents=True, exist_ok=True)
     sweeps = {}
-    all_records = []
     for k, family in enumerate(families):
-        levels = _sweep_levels(family, args.levels, args.dim)
-        records = variance_sweep(
+        sweeps[family.value] = variance_sweep(
             family,
-            levels,
+            _sweep_levels(family, args.levels, args.dim),
             dim=args.dim,
             shots=args.shots,
             repetitions=args.reps,
             seed=derive_seed(seed, k),
             pairing=args.pairing,
         )
-        sweeps[family.value] = records
-        all_records.extend(records)
-    write_sweep_csv(all_records, args.out / "sweep.csv")
+    write_sweep_csv(itertools.chain(*sweeps.values()), args.out / "sweep.csv")
     crossings = []
     for a, b in itertools.combinations(sweeps, 2):
         try:
@@ -170,7 +285,7 @@ def cmd_entropy_sweep(args) -> int:
             pass
     summary = correlation_summary(sweeps, crossings)
     write_correlation_json(summary, args.out / "correlation.json")
-    print(json.dumps(summary))
+    print(to_json(summary))
     return EXIT_OK
 
 
@@ -180,13 +295,17 @@ def cmd_train(args) -> int:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     _, report = nn.train(data, cfg)
     args.out.mkdir(parents=True, exist_ok=True)
-    nn.write_train_report_json(report, args.out / "train_report.json")
-    nn.write_epoch_csv(report, args.out / "train_epochs.csv")
-    print(json.dumps({
+    doc = {
+        "mode": report.mode,
         "final_accuracy": report.final_accuracy,
         "quantum_jobs": report.quantum_jobs,
-        "mode": report.mode,
-    }))
+        "wall_clock_s": report.wall_clock_s,
+        "epochs": len(report.epochs),
+    }
+    write_json(doc, args.out / "train_report.json")
+    with open(args.out / "train_epochs.csv", "w") as fh:
+        fh.writelines(map(_csv_line, [("epoch", "train_loss", "test_accuracy"), *report.epochs]))
+    print(to_json({key: doc[key] for key in ("final_accuracy", "quantum_jobs", "mode")}))
     return EXIT_OK
 
 

@@ -20,7 +20,6 @@ entropy-driven shot scheduler.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import asdict, dataclass
@@ -477,33 +476,6 @@ def concentration_check(
     )
 
 
-# (header, SweepRecord field) for each sweep.csv column, in file order
-SWEEP_CSV_COLUMNS = (
-    ("family", "family"),
-    ("n", "dim"),
-    ("H_nats", "entropy_nats"),
-    ("H_bits", "entropy_bits"),
-    ("purity", "purity"),
-    ("empirical_variance", "empirical_variance"),
-    ("dividend_bound", "dividend_bound"),
-    ("shots", "shots"),
-    ("repetitions", "repetitions"),
-    ("support", "support"),
-    ("overlap_variance", "overlap_variance"),
-    ("total_variance", "total_variance"),
-    ("pairing", "pairing"),
-)
-
-
-def write_sweep_csv(records: list[SweepRecord], path) -> None:
-    """One line per record; floats as repr, so they read back exactly."""
-    with open(path, "w") as fh:
-        fh.write(",".join(header for header, _ in SWEEP_CSV_COLUMNS) + "\n")
-        for r in records:
-            values = (getattr(r, name) for _, name in SWEEP_CSV_COLUMNS)
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in values) + "\n")
-
-
 def correlation_summary(sweeps_by_family: dict, crossings: list | None = None) -> dict:
     """Per-family correlation of entropy against estimator dispersion, plus
     any detected crossing points, as a JSON-ready dict."""
@@ -518,8 +490,3 @@ def correlation_summary(sweeps_by_family: dict, crossings: list | None = None) -
         out["crossing_points"].append({"families": list(pair), **asdict(cp)})
     return out
 
-
-def write_correlation_json(summary: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")

@@ -17,10 +17,7 @@ Elements whose row or column norm is zero are exact zeros with no job.
 
 from __future__ import annotations
 
-import json
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import count
 
 import numpy as np
 
@@ -121,8 +118,10 @@ def _reconstruct(z_hat, true_overlap, the_plan, a_rows, b_cols, cfg: MatMulConfi
     exponents apply last, so C is finite wherever the classical product is."""
     mant = np.outer(a_rows[1], b_cols[1])
     exp = a_rows[2][:, None] + b_cols[2]
+    with np.errstate(over="ignore"):  # inf only where the classical product overflows too
+        c = np.ldexp(mant * z_hat, exp)
     return MatMulResult(
-        c=np.ldexp(mant * z_hat, exp),
+        c=c,
         z_hat=z_hat,
         true_overlap=true_overlap,
         plan_used=the_plan,
@@ -155,63 +154,3 @@ def error_budget(norm_product, shots: int, mu=0.0):
     shots = as_int(shots, "shots", minimum=1)
     return np.abs(norm_product) * np.sqrt(np.maximum(0.0, 1.0 - mu * mu) / shots)
 
-
-def write_result_csv(result: MatMulResult, path, product_path=None) -> None:
-    """Per-element dump: i, j, z_hat, c_ij, stderr (plug-in error_budget of
-    the norm product, with the norms' exponents applied last).
-
-    With product_path, C goes there too, as matio.write_matrix_csv writes it,
-    from the same c_ij strings. Both files stream one row at a time: each
-    value is repr'd once, and row i goes out in one write per file.
-    """
-    z = result.z_hat
-    if result.exact:
-        se = np.zeros_like(z)
-    else:
-        # the norms' exponents apply last, as in c: stderr stays finite where
-        # norm_products overflows
-        mant, exp = result.norm_parts
-        with np.errstate(over="ignore"):
-            se = np.ldexp(error_budget(mant, result.shots, mu=z), exp)
-    with (
-        open(path, "w") as fh,
-        nullcontext() if product_path is None else open(product_path, "w") as product,
-    ):
-        fh.write("i,j,z_hat,c_ij,stderr\n")
-        for i, (z_row, c_row, se_row) in enumerate(zip(z, result.c, se)):
-            cells = list(map(repr, c_row.tolist()))
-            lines = zip(count(), map(repr, z_row.tolist()), cells, map(repr, se_row.tolist()))
-            prefix = f"{i},"
-            fh.write("".join([f"{prefix}{j},{zv},{cv},{sv}\n" for j, zv, cv, sv in lines]))
-            if product is not None:
-                product.write(",".join(cells) + "\n")
-
-
-def summary_dict(result: MatMulResult, classical: np.ndarray | None = None) -> dict:
-    out = {
-        "rows": int(result.c.shape[0]),
-        "cols": int(result.c.shape[1]),
-        "pattern": result.plan_used.pattern.value,
-        "shots": result.shots,
-        "exact": result.exact,
-        "job_count": result.job_count,
-        "cache_hits": result.cache_hits,
-        "cache_misses": result.cache_misses,
-        "plan_cycles": result.plan_used.cycle_count,
-        "plan_width": result.plan_used.width,
-        "plan_degraded": result.plan_used.degraded,
-    }
-    if classical is not None:
-        err = np.abs(result.c - classical)
-        out["max_abs_error"] = float(err.max()) if err.size else 0.0
-        out["mean_abs_error"] = float(err.mean()) if err.size else 0.0
-    return out
-
-
-def write_summary_json(result: MatMulResult, path, classical: np.ndarray | None = None) -> dict:
-    """Write summary_dict(result, classical) as JSON and return the dict."""
-    summary = summary_dict(result, classical)
-    with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
-    return summary

@@ -11,7 +11,6 @@ is exactly a pair of matrix products around a sigmoid.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import struct
@@ -388,7 +387,7 @@ def ingest_mnist_idx(
 
 
 # ---------------------------------------------------------------------------
-# run files and report persistence
+# run files
 
 # run-file key -> (TrainConfig field, parser of its text); an absent key keeps
 # the field's default. The lr parser applies TrainConfig's rule itself, so a
@@ -470,25 +469,3 @@ def load_run(path) -> tuple[TrainConfig, Dataset]:
     except InvalidArgument as exc:
         raise ParseError(f"bad train config: {exc}") from None
 
-
-def write_train_report_json(report: TrainReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(
-            {
-                "mode": report.mode,
-                "final_accuracy": report.final_accuracy,
-                "quantum_jobs": report.quantum_jobs,
-                "wall_clock_s": report.wall_clock_s,
-                "epochs": len(report.epochs),
-            },
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
-
-
-def write_epoch_csv(report: TrainReport, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("epoch,train_loss,test_accuracy\n")
-        for epoch, loss, acc in report.epochs:
-            fh.write(f"{epoch},{loss!r},{acc!r}\n")

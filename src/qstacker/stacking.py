@@ -18,7 +18,6 @@ yields bit-identical results; the plan only changes the accounting.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -71,7 +70,7 @@ class StackingPlan:
 
     @property
     def cycles(self):
-        """The job ids of each cycle, in order, as ranges (for plan_to_json)."""
+        """The job ids of each cycle, in order, as ranges."""
         n, group, cap = self.total_jobs, self.group, self.cap
         for base in range(0, n, group):
             end = min(base + group, n)
@@ -140,18 +139,3 @@ def execute_plan(p: StackingPlan, jobs: list) -> list:
             raise PlanJobMismatch(f"buffer entry {job_id} is not a HadamardJob")
     return [sample_hadamard(job) for job in jobs]
 
-
-def plan_to_json(p: StackingPlan) -> str:
-    return json.dumps(
-        {
-            "pattern": p.pattern.value,
-            "dim": p.dim,
-            "qubits_per_test": p.qubits_per_test,
-            "total_jobs": p.total_jobs,
-            "cycle_count": p.cycle_count,
-            "width": p.width,
-            "degraded": p.degraded,
-            "cycles": [list(g) for g in p.cycles],
-        },
-        indent=2,
-    )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -229,6 +230,17 @@ class TestEntropySweepCommand:
         else:
             assert json.loads((tmp_path / "correlation.json").read_text())["crossing_points"] == []
 
+    @pytest.mark.parametrize("families", ["uniform,uniform", ","], ids=["repeated", "empty"])
+    def test_each_family_must_be_named_once(self, tmp_path, capsys, families):
+        """A repeated family would be swept twice but reported once; an empty
+        list would write a header-only sweep.csv. Both are refused first."""
+        out = tmp_path / "out"
+        assert main(["entropy-sweep", "--families", families, "--levels", "3", "--dim", "8",
+                     "--shots", "64", "--reps", "10", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --families") and repr(families) in err
+        assert not out.exists()
+
     def test_sweep_outputs_byte_deterministic(self, tmp_path, capsys):
         outputs = []
         for name in ("s1", "s2"):
@@ -270,6 +282,40 @@ class TestTrainCommand:
         code = main(["train", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 3
         capsys.readouterr()
+
+
+def refuse_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+class TestStrictJson:
+    """A non-finite float is written as null, in every JSON file and printed line."""
+
+    def test_training_without_test_samples_reports_a_null_accuracy(self, tmp_path, capsys):
+        images, labels = tmp_path / "images-idx", tmp_path / "labels-idx"
+        write_idx_images(images, np.random.default_rng(3).integers(0, 256, size=(48, 2, 2)))
+        write_idx_labels(labels, np.arange(48) % 3)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"shape=4,2,3\nepochs=2\nmode=classical\nmnist_images={images}\n"
+                       f"mnist_labels={labels}\ntrain_count=40\ntest_count=0\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        printed = json.loads(capsys.readouterr().out, parse_constant=refuse_constant)
+        report = json.loads((tmp_path / "train_report.json").read_text(), parse_constant=refuse_constant)
+        assert printed["final_accuracy"] is None and report["final_accuracy"] is None
+        assert report["epochs"] == 2
+
+    def test_an_overflowing_product_reports_null_errors_without_a_warning(self, tmp_path, capsys):
+        # [[1e308, 1e308]] @ [[1e308], [1e308]] overflows in the engine and in a @ b;
+        # warnings are errors in this suite
+        pa, pb, out = tmp_path / "a.bin", tmp_path / "b.bin", tmp_path / "out"
+        write_matrix_bin(pa, np.full((1, 2), 1e308))
+        write_matrix_bin(pb, np.full((2, 1), 1e308))
+        assert main(["matmul", "--a", str(pa), "--b", str(pb), "--exact", "--out", str(out)]) == 0
+        printed = json.loads(capsys.readouterr().out, parse_constant=refuse_constant)
+        summary = json.loads((out / "matmul_summary.json").read_text(), parse_constant=refuse_constant)
+        assert printed == summary
+        assert summary["max_abs_error"] is None and summary["mean_abs_error"] is None
+        assert (out / "product.csv").read_text() == "inf\n"
 
 
 ACCEPTANCE_NAMES = ["circuit fidelity", "estimator law", "exact-mode matmul",
@@ -451,3 +497,100 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def golden_hashes(root, iris_path, run) -> dict:
+    """sha256 of every artifact and of the printed output of fixed-seed runs
+    that draw no product samples: `plan`, `matmul --exact` on CSV and .bin
+    operands with a zero row and a zero column, `entropy-sweep` under both
+    pairings and a classical `train`. run(argv) runs the CLI and returns
+    (exit code, stdout). train_report.json is hashed without its wall_clock_s
+    line, the one value that differs between runs."""
+    rng = np.random.default_rng(71)
+    a, b = rng.normal(size=(4, 5)), rng.normal(size=(5, 3))
+    a[2] = 0.0
+    b[:, 1] = 0.0
+    write_matrix_csv(root / "a.csv", a)
+    write_matrix_csv(root / "b.csv", b)
+    write_matrix_bin(root / "a.bin", a * 1e200)
+    write_matrix_bin(root / "b.bin", b * 1e-200)
+    (root / "run.cfg").write_text(f"shape=4,4,3\nlr=0.05\nbatch=10\nepochs=3\nmode=classical\n"
+                                  f"seed=2\ndataset={iris_path}\n")
+    runs = {
+        "plan": ["plan", "--n", "3", "--dim", "4", "--pattern", "balanced", "--budget", "10"],
+        "matmul-csv": ["matmul", "--a", str(root / "a.csv"), "--b", str(root / "b.csv"),
+                       "--exact", "--seed", "3"],
+        "matmul-bin": ["matmul", "--a", str(root / "a.bin"), "--b", str(root / "b.bin"),
+                       "--exact", "--pattern", "horizontal", "--budget", "8"],
+        "sweep-resigned": ["entropy-sweep", "--families", "uniform,exponential,interpolated",
+                           "--levels", "4", "--dim", "8", "--shots", "256", "--reps", "20",
+                           "--seed", "11", "--pairing", "resigned"],
+        "sweep-independent": ["entropy-sweep", "--families", "normal,chisquare",
+                              "--levels", "3", "--dim", "8", "--shots", "256", "--reps", "20",
+                              "--seed", "12", "--pairing", "independent"],
+        "train": ["train", "--config", str(root / "run.cfg")],
+    }
+    hashes = {}
+    for name, argv in runs.items():
+        out = root / name
+        code, stdout = run([*argv, "--out", str(out)])
+        assert code == 0, name
+        hashes[f"{name}/stdout"] = hashlib.sha256(stdout.encode()).hexdigest()
+        for path in sorted(out.iterdir()):
+            data = path.read_bytes()
+            if path.name == "train_report.json":
+                data = b"".join(line for line in data.splitlines(keepends=True)
+                                if b'"wall_clock_s"' not in line)
+            hashes[f"{name}/{path.name}"] = hashlib.sha256(data).hexdigest()
+    return hashes
+
+
+# recorded at the commit before the artifact writers moved into qstacker.cli
+GOLDEN = {
+    "plan/stdout":
+        "3d18bc24a140844a6a9d68215cadddeb65a33d030674221640f641a89515ab27",
+    "plan/plan.json":
+        "3d18bc24a140844a6a9d68215cadddeb65a33d030674221640f641a89515ab27",
+    "matmul-csv/stdout":
+        "addf8c29f16838ee540ad8b3c0499e72e95af36a8860dd2a09a1970e55b294e6",
+    "matmul-csv/matmul.csv":
+        "3e319eb4acac2dbc7a7fa35ef82181f5e6618b4c72e266fb67179f5a45279b8e",
+    "matmul-csv/matmul_summary.json":
+        "5c376502e165df8381f534ab80aaf3ccb8733767ee624dbdf73b17bc1665e700",
+    "matmul-csv/product.csv":
+        "4019d14416b293e4e3c17dec8ae7f9c5a9cfb2fad1e8bbb32748a50d759a5856",
+    "matmul-bin/stdout":
+        "1ccbd9cab156d1157f433db3b1b6b481dca38b65fe7d9474e7ee376774cf5f88",
+    "matmul-bin/matmul.csv":
+        "ede4890fb245325995104e157312f14089497c211a10125e1f3dcbe2364865ca",
+    "matmul-bin/matmul_summary.json":
+        "e0257660058f5551d64a3a7d595a57f3a7637d9caf38995e48641be067fb81b2",
+    "matmul-bin/product.csv":
+        "87465dc42c51b6c62e7921b211e7364d0604fa8ff1c5353f538138bc11570339",
+    "sweep-resigned/stdout":
+        "1455290990394734bf59105471af4415a71193e7c8e9d925219fcef4ef56b2a6",
+    "sweep-resigned/correlation.json":
+        "47b81aafd39c9fa1bdb937de4c8407c806f11c2600ae05a2dce3afe085573ab1",
+    "sweep-resigned/sweep.csv":
+        "8e7eed89ca8650af8456448d3b7fb8436099cc186f6437b82c942e5369edf60a",
+    "sweep-independent/stdout":
+        "f77af94c10215ffd59e2768676b125a301501444e6617afb35419c7adde58a06",
+    "sweep-independent/correlation.json":
+        "a4d470adec8f697db73d7ee828656d2151bc12f71cf186c974a16a611433e49b",
+    "sweep-independent/sweep.csv":
+        "85e5c58f9fb12622effec55e13d6c49dfd284ca5a5dbee56f181923c720a8574",
+    "train/stdout":
+        "6f41fe854640d1bb978155a6b3a8b5f690a00419c55d78b2c636481eba37073c",
+    "train/train_epochs.csv":
+        "167920aebb4302030f39be1a7c8247313a32c102a955c6fa7c419986152d64a7",
+    "train/train_report.json":
+        "4c9431cb87e3a60f9add74b576b8375171f32763ebd5777a2086e270b5f43d05",
+}
+
+
+def test_artifacts_match_the_recorded_bytes(tmp_path, iris_path, capsys):
+    def run(argv):
+        code = main(argv)
+        return code, capsys.readouterr().out
+
+    assert golden_hashes(tmp_path, iris_path, run) == GOLDEN

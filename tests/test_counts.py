@@ -34,8 +34,8 @@ from qstacker import (
     split_dataset,
     variance_sweep,
 )
+from qstacker.cli import summary_dict
 from qstacker.errors import InvalidArgument, ShapeMismatch
-from qstacker.matmul import summary_dict
 
 SHAPE = NetworkShape(4, 4, 3)
 PSI = encode([0.6, 0.8])

@@ -20,7 +20,8 @@ from qstacker import (
     variance_band,
     variance_sweep,
 )
-from qstacker.entropy import LN2, _isotonic_decreasing, _t_two_tailed, shannon_entropy, write_sweep_csv
+from qstacker.cli import write_sweep_csv
+from qstacker.entropy import LN2, _isotonic_decreasing, _t_two_tailed, shannon_entropy
 from qstacker.errors import ConstantSeries, InvalidArgument, InvalidDistribution, NoCrossing
 
 FAMILIES = list(StateFamily)

@@ -1,4 +1,4 @@
-"""Five lints over the package source.
+"""Seven lints over the package source.
 
 No linter ships with the toolchain, so these tests parse each module of the
 package:
@@ -13,7 +13,10 @@ package:
   * no module but `vectors.py` calls `linalg.norm`, so every norm in the
     package follows the one rule there;
   * the package's only scipy import is the one inside
-    `entropy.variance_band`, so every other path starts on numpy alone.
+    `entropy.variance_band`, so every other path starts on numpy alone;
+  * no module but `cli.py` imports `json`, and no module but `cli.py` and
+    `matio.py` opens a file for writing, so every artifact is written by
+    the CLI under its one JSON and CSV rules.
 """
 
 import ast
@@ -222,4 +225,90 @@ def test_a_scipy_import_elsewhere_is_reported():
     )
     assert scipy_imports(source) == [
         "<module>: scipy", "pvalue: scipy.special", "Fit.band: scipy.stats",
+    ]
+
+
+def json_imports(source: str) -> list[str]:
+    """Imports of `json` or of a `json.` submodule."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names
+                  if name == "json" or name.startswith("json.")]
+    return found
+
+
+def file_writes(source: str) -> list[str]:
+    """Calls that write a file: `write_text`, `write_bytes`, and `open` whose
+    mode holds a w, a or x. The mode is the `mode` keyword, else the second
+    argument of a bare `open(path, mode)` or the first of a method call such
+    as `Path.open(mode)`; a mode that is not a string literal counts as a write."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        method = isinstance(node.func, ast.Attribute)
+        name = node.func.attr if method else getattr(node.func, "id", None)
+        if name in ("write_text", "write_bytes"):
+            found.append((node.lineno, name))
+        elif name == "open":
+            positional = node.args[0 if method else 1:]
+            modes = [kw.value for kw in node.keywords if kw.arg == "mode"] or positional[:1]
+            if not modes:
+                continue
+            mode = modes[0]
+            literal = isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+            if not literal or set(mode.value) & set("wax"):
+                found.append((node.lineno, f"open({ast.unparse(mode)})"))
+    return [f"line {line}: {text}" for line, text in sorted(found)]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "cli.py"],
+                         ids=lambda p: p.name)
+def test_only_the_cli_imports_json(path):
+    assert json_imports(path.read_text()) == []
+
+
+def test_a_json_import_outside_the_cli_is_reported():
+    source = (
+        "import json\n"
+        "import jsonschema\n"
+        "from .json import dumps\n"
+        "def f(doc):\n"
+        "    from json.decoder import JSONDecodeError\n"
+        "    import numpy as np, json as js\n"
+        "    return js.dumps(doc), np, JSONDecodeError\n"
+    )
+    assert json_imports(source) == ["line 1: json", "line 5: json.decoder", "line 6: json"]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py"))
+                                  if p.name not in ("cli.py", "matio.py")],
+                         ids=lambda p: p.name)
+def test_only_the_cli_and_matio_write_files(path):
+    assert file_writes(path.read_text()) == []
+
+
+def test_a_file_write_outside_the_cli_is_reported():
+    source = (
+        "from pathlib import Path\n"
+        "def f(path, text, mode):\n"
+        "    with open(path) as fh, open(path, 'rb') as raw, Path(path).open() as again:\n"
+        "        pass\n"
+        "    with open(path, 'w') as fh, open(path, mode='ab') as log:\n"
+        "        pass\n"
+        "    Path(path).open('x')\n"
+        "    open(path, mode)\n"
+        "    Path(path).write_text(text)\n"
+        "    Path(path).write_bytes(b'')\n"
+        "    return Path(path).read_text()\n"
+    )
+    assert file_writes(source) == [
+        "line 5: open('ab')", "line 5: open('w')", "line 7: open('x')", "line 8: open(mode)",
+        "line 9: write_text", "line 10: write_bytes",
     ]

@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qstacker import MatMulConfig, StackingPattern, encode, error_budget, matmul
+from qstacker.cli import summary_dict, write_result_csv, write_summary_json
 from qstacker.errors import InvalidArgument, NonFiniteInput, ShapeMismatch
 from qstacker.matio import read_matrix_csv, write_matrix_csv
-from qstacker.matmul import summary_dict, write_result_csv, write_summary_json
 from qstacker.stacking import qubits_per_test
 
 

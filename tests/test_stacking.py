@@ -16,8 +16,9 @@ from qstacker import (
     plan_jobs,
     sample_hadamard,
 )
+from qstacker.cli import plan_to_json
 from qstacker.errors import InvalidArgument, PlanJobMismatch
-from qstacker.stacking import plan_to_json, qubits_per_test
+from qstacker.stacking import qubits_per_test
 
 P = StackingPattern
 
