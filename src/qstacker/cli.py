@@ -264,7 +264,6 @@ def cmd_entropy_sweep(args) -> int:
                 for tok in args.families.split(",") if tok.strip()]
     if not families or len(set(families)) < len(families):
         raise InvalidArgument(f"--families must name each family once, got {args.families!r}")
-    args.out.mkdir(parents=True, exist_ok=True)
     sweeps = {}
     for k, family in enumerate(families):
         sweeps[family.value] = variance_sweep(
@@ -276,6 +275,7 @@ def cmd_entropy_sweep(args) -> int:
             seed=derive_seed(seed, k),
             pairing=args.pairing,
         )
+    args.out.mkdir(parents=True, exist_ok=True)
     write_sweep_csv(itertools.chain(*sweeps.values()), args.out / "sweep.csv")
     crossings = []
     for a, b in itertools.combinations(sweeps, 2):

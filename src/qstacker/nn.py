@@ -13,15 +13,14 @@ from __future__ import annotations
 
 import math
 import numbers
-import struct
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
 from .errors import EmptyDataset, InvalidArgument, ParseError, ShapeMismatch, as_enum, as_int
+from .matio import read_idx, read_lines
 from .matmul import MatMulConfig, matmul
 from .seeding import derive_seed, job_rng
 
@@ -308,10 +307,7 @@ def ingest_iris(path, split_seed: int = SPLIT_SEED) -> Dataset:
     standardized to zero mean / unit variance over the whole file.
     """
     rows, names = [], []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
+    for lineno, line in read_lines(path):
         parts = [tok.strip() for tok in line.split(",")]
         if len(parts) != 5:
             raise ParseError(f"{path}:{lineno}: expected 4 features + label")
@@ -332,30 +328,6 @@ def ingest_iris(path, split_seed: int = SPLIT_SEED) -> Dataset:
     return split_dataset(features, labels, split_seed)
 
 
-_IDX_IMAGES_MAGIC = 0x00000803
-_IDX_LABELS_MAGIC = 0x00000801
-
-
-def _read_idx(path, magic: int, header_dims: int) -> tuple[tuple, np.ndarray]:
-    """Header dims and uint8 payload of an IDX file, whose payload must be
-    exactly as long as its header declares."""
-    raw = Path(path).read_bytes()
-    header = 4 * (1 + header_dims)
-    if len(raw) < header:
-        raise ParseError(f"{path}: missing IDX header")
-    fields = struct.unpack(f">{1 + header_dims}I", raw[:header])
-    if fields[0] != magic:
-        raise ParseError(f"{path}: magic 0x{fields[0]:08x}, expected 0x{magic:08x}")
-    dims = fields[1:]
-    count = int(np.prod(dims))
-    if len(raw) != header + count:
-        raise ParseError(
-            f"{path}: payload holds {len(raw) - header} bytes, header declares {count}"
-        )
-    body = np.frombuffer(raw, dtype=np.uint8, count=count, offset=header)
-    return dims, body
-
-
 def _avg_pool(images: np.ndarray, factor: int) -> np.ndarray:
     n, r, c = images.shape
     if r % factor or c % factor:
@@ -369,15 +341,15 @@ def ingest_mnist_idx(
     downsample: int = 1,
     limit: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """IDX-format image/label pair: big-endian magics 0x803/0x801, uint8
-    payload. Pixels scale to [0, 1]; optional average-pool downsampling and
-    a leading-sample limit. Returns (features, labels) flat arrays."""
-    (n_img, rows, cols), pixels = _read_idx(images_path, _IDX_IMAGES_MAGIC, 3)
-    (n_lab,), label_bytes = _read_idx(labels_path, _IDX_LABELS_MAGIC, 1)
-    if n_img != n_lab:
-        raise ParseError(f"{n_img} images vs {n_lab} labels")
-    images = pixels.reshape(n_img, rows, cols).astype(np.float64) / 255.0
-    labels = label_bytes.astype(np.int64)
+    """IDX image/label pair, as `matio.read_idx` reads them. Pixels scale to
+    [0, 1]; optional average-pool downsampling and a leading-sample limit.
+    Returns (features, labels) flat arrays."""
+    images = read_idx(images_path, 3)
+    labels = read_idx(labels_path, 1)
+    if len(images) != len(labels):
+        raise ParseError(f"{len(images)} images vs {len(labels)} labels")
+    images = images.astype(np.float64) / 255.0
+    labels = labels.astype(np.int64)
     if limit is not None:
         limit = as_int(limit, "limit", minimum=1)
         images, labels = images[:limit], labels[:limit]
@@ -408,16 +380,16 @@ _IDX_KEYS = frozenset({"mnist_images", "mnist_labels", "split_seed", *_IDX_INTS}
 
 
 def parse_train_config(path) -> dict:
-    """key=value run file; '#' starts a comment. Returns a raw string dict."""
-    out = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    """key=value run file; '#' starts a comment. Returns a raw string dict;
+    a key given twice is a ParseError."""
+    out, first = {}, {}
+    for lineno, line in read_lines(path, comment="#"):
         if "=" not in line:
             raise ParseError(f"{path}:{lineno}: expected key=value")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in first:
+            raise ParseError(f"{path}:{lineno}: key {key!r} given twice, first on line {first[key]}")
+        out[key], first[key] = value, lineno
     return out
 
 

@@ -241,6 +241,16 @@ class TestEntropySweepCommand:
         assert err.startswith("usage error: --families") and repr(families) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--levels", "2"), ("--dim", "1"), ("--reps", "1")])
+    def test_a_refused_size_leaves_no_output_directory(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        argv = ["entropy-sweep", "--families", "uniform", "--levels", "3", "--dim", "8",
+                "--shots", "64", "--reps", "10", "--out", str(out)]
+        argv[argv.index(flag) + 1] = value
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not out.exists()
+
     def test_sweep_outputs_byte_deterministic(self, tmp_path, capsys):
         outputs = []
         for name in ("s1", "s2"):

@@ -1,4 +1,4 @@
-"""Seven lints over the package source.
+"""Eight lints over the package source.
 
 No linter ships with the toolchain, so these tests parse each module of the
 package:
@@ -16,7 +16,9 @@ package:
     `entropy.variance_band`, so every other path starts on numpy alone;
   * no module but `cli.py` imports `json`, and no module but `cli.py` and
     `matio.py` opens a file for writing, so every artifact is written by
-    the CLI under its one JSON and CSV rules.
+    the CLI under its one JSON and CSV rules;
+  * no module but `matio.py` reads a file, so every input file is parsed
+    through its one line reader and its one exact-payload reader.
 """
 
 import ast
@@ -311,4 +313,60 @@ def test_a_file_write_outside_the_cli_is_reported():
     assert file_writes(source) == [
         "line 5: open('ab')", "line 5: open('w')", "line 7: open('x')", "line 8: open(mode)",
         "line 9: write_text", "line 10: write_bytes",
+    ]
+
+
+NUMPY_READERS = {"load", "loadtxt", "fromfile", "genfromtxt"}
+
+
+def file_reads(source: str) -> list[str]:
+    """Calls that read a file: `read_text`, `read_bytes`, numpy's `load`,
+    `loadtxt`, `fromfile` and `genfromtxt`, and `open` without a write mode.
+    The mode is found as in file_writes; an `open` with no mode, or with a
+    mode that is not a string literal, counts as a read."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        method = isinstance(node.func, ast.Attribute)
+        name = node.func.attr if method else getattr(node.func, "id", None)
+        if name in ("read_text", "read_bytes"):
+            found.append((node.lineno, name))
+        elif method and name in NUMPY_READERS and ast.unparse(node.func.value) in ("np", "numpy"):
+            found.append((node.lineno, ast.unparse(node.func)))
+        elif name == "open":
+            positional = node.args[0 if method else 1:]
+            modes = [kw.value for kw in node.keywords if kw.arg == "mode"] or positional[:1]
+            mode = modes[0] if modes else None
+            literal = isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+            if not literal or not set(mode.value) & set("wax"):
+                found.append((node.lineno, f"open({'' if mode is None else ast.unparse(mode)})"))
+    return [f"line {line}: {text}" for line, text in sorted(found)]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "matio.py"],
+                         ids=lambda p: p.name)
+def test_only_matio_reads_files(path):
+    assert file_reads(path.read_text()) == []
+
+
+def test_a_file_read_outside_matio_is_reported():
+    source = (
+        "import numpy as np\n"
+        "from pathlib import Path\n"
+        "def f(path, mode, rng):\n"
+        "    with open(path, 'w') as fh, Path(path).open(mode='ab') as log:\n"
+        "        rng.load(path)\n"
+        "    with open(path) as fh, open(path, 'rb') as raw, Path(path).open('r+') as both:\n"
+        "        pass\n"
+        "    open(path, mode)\n"
+        "    Path(path).read_text()\n"
+        "    Path(path).read_bytes()\n"
+        "    np.load(path), np.loadtxt(path), np.fromfile(path), np.genfromtxt(path)\n"
+        "    return Path(path).write_text('')\n"
+    )
+    assert file_reads(source) == [
+        "line 6: open('r+')", "line 6: open('rb')", "line 6: open()", "line 8: open(mode)",
+        "line 9: read_text", "line 10: read_bytes", "line 11: np.fromfile", "line 11: np.genfromtxt",
+        "line 11: np.load", "line 11: np.loadtxt",
     ]

@@ -21,6 +21,7 @@ from qstacker import (
 )
 from qstacker import nn
 from qstacker.errors import EmptyDataset, InvalidArgument, ParseError, ShapeMismatch
+from qstacker.matio import read_matrix_csv
 from qstacker.nn import (
     _TAG_EVAL,
     CLASSICAL,
@@ -357,6 +358,21 @@ class TestMnistIngest:
                 ingest_mnist_idx(cut, labels)
 
 
+@pytest.mark.parametrize("read, good, bad, lines", [
+    (parse_train_config, "shape=4,4,3", "shape 4,4,3", (4, 6)),
+    (read_matrix_csv, "1.0,2.0", "1.0,oops", (4, 4)),
+    (ingest_iris, "5.1,3.5,1.4,0.2,setosa", "5.1,3.5,1.4,oops,setosa", (4, 4)),
+], ids=["run-file", "matrix-csv", "iris-csv"])
+def test_a_parse_error_names_the_files_own_line(tmp_path, read, good, bad, lines):
+    """Blank and comment lines count toward the line number. Only a run file
+    takes '#' comments: each CSV refuses the comment line itself (line 4)."""
+    path = tmp_path / "input"
+    for text, line in zip((f"{good}\n\n   \n{bad}\n", f"{good}\n\n\n# note\n\n{bad}\n"), lines):
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"input:{line}: "):
+            read(path)
+
+
 class TestRunConfig:
     def test_parse_and_build(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -378,6 +394,12 @@ class TestRunConfig:
         cfg_file.write_text("shape 4,4,3\n")
         with pytest.raises(ParseError):
             parse_train_config(cfg_file)
+
+    def test_a_key_given_twice_is_refused(self, tmp_path, iris_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"shape=4,4,3\nepochs=3\n# retuned\nepochs=5\ndataset={iris_path}\n")
+        with pytest.raises(ParseError, match=r"run.cfg:4: key 'epochs' given twice, first on line 2"):
+            load_run(cfg_file)
 
     def test_missing_shape(self):
         with pytest.raises(ParseError):

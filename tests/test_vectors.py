@@ -145,14 +145,24 @@ class TestMatrixIO:
         assert np.frombuffer(raw[8:], dtype="<f8").tolist() == [1.0, 2.0]
 
     @pytest.mark.parametrize("resize, message", [
-        (lambda raw: raw[:-8], "expected 136 bytes for 4x4, got 128"),
-        (lambda raw: raw + bytes(8), "header declares 136 bytes for 4x4, file has 144"),
+        (lambda raw: raw[:-8], "payload holds 120 bytes, header declares 128"),
+        (lambda raw: raw + bytes(8), "payload holds 136 bytes, header declares 128"),
     ], ids=["one-double-short", "one-double-extra"])
     def test_truncated_binary(self, tmp_path, resize, message):
         """The payload must be exactly the size the header declares."""
         path = tmp_path / "m.bin"
         write_matrix_bin(path, np.ones((4, 4)))
         path.write_bytes(resize(path.read_bytes()))
+        with pytest.raises(ParseError, match=message):
+            read_matrix_bin(path)
+
+    @pytest.mark.parametrize("payload, message", [
+        (b"", r"zero dimension in header \(0x4\)"),
+        (bytes(32), "payload holds 32 bytes, header declares 0"),
+    ], ids=["empty", "one-row"])
+    def test_zero_dimension_header(self, tmp_path, payload, message):
+        path = tmp_path / "m.bin"
+        path.write_bytes((0).to_bytes(4, "little") + (4).to_bytes(4, "little") + payload)
         with pytest.raises(ParseError, match=message):
             read_matrix_bin(path)
 
