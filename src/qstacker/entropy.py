@@ -353,7 +353,7 @@ def pearson(xs, ys) -> CorrelationStats:
     r = float(np.dot(xc, yc) / (sx * sy))
     r = max(-1.0, min(1.0, r))
     nu = m - 2
-    denom = max(1.0 - r * r, 0.0)
+    denom = 1.0 - r * r
     p = 0.0 if denom == 0.0 else _t_two_tailed(nu, r * r * nu / denom)
     p = min(1.0, max(p, float(np.finfo(np.float64).tiny)))
     return CorrelationStats(r=r, p_value=p, sample_count=m)
@@ -426,7 +426,7 @@ def crossing_point(sweep_a, sweep_b) -> CrossingPoint:
         raise NoCrossing("fitted variance curves do not change order in the overlap")
     i0, i1 = nonzero[changes[-1]], nonzero[changes[-1] + 1]
     d0, d1 = diff[i0], diff[i1]
-    frac = d0 / (d0 - d1) if d1 != d0 else 0.5
+    frac = d0 / (d0 - d1)  # d0 and d1 are nonzero and of opposite signs
     h_star = float(grid[i0] + frac * (grid[i1] - grid[i0]))
 
     def local_slope(x: np.ndarray, f: np.ndarray, h: float) -> float:

@@ -82,8 +82,8 @@ def sample_hadamard(job: HadamardJob) -> ShotResult:
     identical jobs (including seed) always yield identical counts.
     """
     mu = analytic_overlap(job.psi, job.phi)
-    p0 = min(max((1.0 + mu) / 2.0, 0.0), 1.0)
-    count0 = job_binomial(job.seed, job.shots, p0)
+    # p0 lies in [0, 1]: mu is clamped to [-1, 1], rounding is monotone, 0 and 2 are exact
+    count0 = job_binomial(job.seed, job.shots, (1.0 + mu) / 2.0)
     return ShotResult(count0=count0, count1=job.shots - count0)
 
 

@@ -138,14 +138,6 @@ def forward(
     or its value string.
     """
     xb = np.atleast_2d(np.asarray(x, dtype=np.float64))  # samples x dims
-    if xb.shape[1] != model.w1.shape[1]:
-        raise ShapeMismatch(
-            f"input dim {xb.shape[1]} does not match W1 {model.w1.shape}"
-        )
-    if model.w2.shape[1] != model.w1.shape[0]:
-        raise ShapeMismatch(
-            f"W2 {model.w2.shape} does not chain with W1 {model.w1.shape}"
-        )
     exact = as_enum(ForwardMode, mode, "mode") is CLASSICAL
     r1 = matmul(model.w1, xb.T, MatMulConfig(shots=shots, seed=derive_seed(seed, 1), exact=exact))
     hidden = sigmoid(r1.c)
@@ -238,7 +230,7 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[Model, TrainReport]:
         else:
             acc = float("nan")
         report.epochs.append((epoch, float(np.mean(losses)), acc))
-    report.final_accuracy = report.epochs[-1][2] if report.epochs else float("nan")
+    report.final_accuracy = report.epochs[-1][2]  # TrainConfig requires epochs >= 1
     report.wall_clock_s = time.perf_counter() - started
     return model, report
 
@@ -348,11 +340,11 @@ def ingest_mnist_idx(
     labels = read_idx(labels_path, 1)
     if len(images) != len(labels):
         raise ParseError(f"{len(images)} images vs {len(labels)} labels")
-    images = images.astype(np.float64) / 255.0
-    labels = labels.astype(np.int64)
-    if limit is not None:
+    if limit is not None:  # cut before conversion: a small limit converts few records
         limit = as_int(limit, "limit", minimum=1)
         images, labels = images[:limit], labels[:limit]
+    images = images.astype(np.float64) / 255.0
+    labels = labels.astype(np.int64)
     if as_int(downsample, "downsample", minimum=1) > 1:
         images = _avg_pool(images, downsample)
     return images.reshape(images.shape[0], -1), labels
@@ -387,6 +379,8 @@ def parse_train_config(path) -> dict:
         if "=" not in line:
             raise ParseError(f"{path}:{lineno}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
+        if not key:
+            raise ParseError(f"{path}:{lineno}: empty key")
         if key in first:
             raise ParseError(f"{path}:{lineno}: key {key!r} given twice, first on line {first[key]}")
         out[key], first[key] = value, lineno

@@ -18,24 +18,19 @@ import numpy as np
 from .errors import NonFiniteInput, ShapeMismatch
 
 
-def as_vector(v) -> np.ndarray:
-    """Validate and return a finite 1-D float64 vector."""
+def _finite(v, ndim: int, kind: str) -> np.ndarray:
+    """Validate and return a nonempty finite float64 array; kind names it in errors."""
     arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ShapeMismatch(f"expected a 1-D vector, got shape {arr.shape}")
+    if arr.ndim != ndim or arr.size < 1:
+        raise ShapeMismatch(f"expected a {ndim}-D {kind}, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise NonFiniteInput("vector contains NaN or Inf")
+        raise NonFiniteInput(f"{kind} contains NaN or Inf")
     return arr
 
 
 def as_matrix(m) -> np.ndarray:
     """Validate and return a finite 2-D float64 matrix."""
-    arr = np.asarray(m, dtype=np.float64)
-    if arr.ndim != 2 or arr.size < 1:
-        raise ShapeMismatch(f"expected a 2-D matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteInput("matrix contains NaN or Inf")
-    return arr
+    return _finite(m, 2, "matrix")
 
 
 @dataclass(frozen=True)
@@ -63,10 +58,6 @@ class EncodedState:
     def is_zero(self) -> bool:
         return self.source_norm == 0.0
 
-    @property
-    def probabilities(self) -> np.ndarray:
-        return self.amplitudes ** 2
-
 
 def _unit_rows(rows: np.ndarray):
     """(unit rows, mantissas, exponents) of a C-contiguous 2-D array.
@@ -85,7 +76,8 @@ def _unit_rows(rows: np.ndarray):
 def _norm(arr: np.ndarray, axis: int) -> np.ndarray:
     """Euclidean norm of each row (axis 1) or column (axis 0), by _unit_rows' rule."""
     _, mant, exp = _unit_rows(np.ascontiguousarray(arr if axis == 1 else arr.T))
-    return np.ldexp(mant, exp)
+    with np.errstate(over="ignore"):  # a norm past float64's range reads inf, as in _states
+        return np.ldexp(mant, exp)
 
 
 def _states(unit, mant, exp) -> list:
@@ -100,7 +92,7 @@ def encode(v) -> EncodedState:
 
     The zero vector returns the sentinel (all-zero amplitudes, norm 0).
     """
-    return _states(*_unit_rows(as_vector(v)[None, :]))[0]
+    return _states(*_unit_rows(_finite(v, 1, "vector")[None, :]))[0]
 
 
 def prepare_all(a_rows, bt_rows) -> tuple[list, list]:

@@ -510,12 +510,14 @@ def test_usage_error_exit_code():
 
 
 def golden_hashes(root, iris_path, run) -> dict:
-    """sha256 of every artifact and of the printed output of fixed-seed runs
-    that draw no product samples: `plan`, `matmul --exact` on CSV and .bin
+    """sha256 of every artifact and of the printed output of fixed-seed runs:
+    `plan`, `matmul --exact` on CSV and .bin operands with a zero row and a
+    zero column, a sampled `matmul --check-classical` at 1024 shots on CSV
     operands with a zero row and a zero column, `entropy-sweep` under both
-    pairings and a classical `train`. run(argv) runs the CLI and returns
-    (exit code, stdout). train_report.json is hashed without its wall_clock_s
-    line, the one value that differs between runs."""
+    pairings, a classical `train` on IRIS and a quantum `train` on an IDX
+    pair. run(argv) runs the CLI and returns (exit code, stdout).
+    train_report.json is hashed without its wall_clock_s line, the one value
+    that differs between runs."""
     rng = np.random.default_rng(71)
     a, b = rng.normal(size=(4, 5)), rng.normal(size=(5, 3))
     a[2] = 0.0
@@ -524,8 +526,19 @@ def golden_hashes(root, iris_path, run) -> dict:
     write_matrix_csv(root / "b.csv", b)
     write_matrix_bin(root / "a.bin", a * 1e200)
     write_matrix_bin(root / "b.bin", b * 1e-200)
+    sa, sb = rng.normal(size=(6, 7)), rng.normal(size=(7, 5))
+    sa[4] = 0.0
+    sb[:, 0] = 0.0
+    write_matrix_csv(root / "sa.csv", sa)
+    write_matrix_csv(root / "sb.csv", sb)
+    write_idx_images(root / "images.idx", rng.integers(0, 256, size=(90, 8, 8)))
+    write_idx_labels(root / "labels.idx", rng.integers(0, 3, size=90))
     (root / "run.cfg").write_text(f"shape=4,4,3\nlr=0.05\nbatch=10\nepochs=3\nmode=classical\n"
                                   f"seed=2\ndataset={iris_path}\n")
+    (root / "idx.cfg").write_text(f"shape=16,4,3\nlr=0.05\nbatch=10\nepochs=4\nshots=512\n"
+                                  f"mode=quantum\nseed=3\nmnist_images={root / 'images.idx'}\n"
+                                  f"mnist_labels={root / 'labels.idx'}\ndownsample=2\nlimit=70\n"
+                                  f"train_count=50\ntest_count=20\nsplit_seed=5\n")
     runs = {
         "plan": ["plan", "--n", "3", "--dim", "4", "--pattern", "balanced", "--budget", "10"],
         "matmul-csv": ["matmul", "--a", str(root / "a.csv"), "--b", str(root / "b.csv"),
@@ -538,7 +551,10 @@ def golden_hashes(root, iris_path, run) -> dict:
         "sweep-independent": ["entropy-sweep", "--families", "normal,chisquare",
                               "--levels", "3", "--dim", "8", "--shots", "256", "--reps", "20",
                               "--seed", "12", "--pairing", "independent"],
+        "matmul-sampled": ["matmul", "--a", str(root / "sa.csv"), "--b", str(root / "sb.csv"),
+                           "--shots", "1024", "--seed", "17", "--check-classical"],
         "train": ["train", "--config", str(root / "run.cfg")],
+        "train-idx": ["train", "--config", str(root / "idx.cfg")],
     }
     hashes = {}
     for name, argv in runs.items():
@@ -555,7 +571,9 @@ def golden_hashes(root, iris_path, run) -> dict:
     return hashes
 
 
-# recorded at the commit before the artifact writers moved into qstacker.cli
+# recorded at the commit before the artifact writers moved into qstacker.cli;
+# the matmul-sampled and train-idx entries at the commit before sample_hadamard
+# stopped clamping p0
 GOLDEN = {
     "plan/stdout":
         "3d18bc24a140844a6a9d68215cadddeb65a33d030674221640f641a89515ab27",
@@ -577,6 +595,14 @@ GOLDEN = {
         "e0257660058f5551d64a3a7d595a57f3a7637d9caf38995e48641be067fb81b2",
     "matmul-bin/product.csv":
         "87465dc42c51b6c62e7921b211e7364d0604fa8ff1c5353f538138bc11570339",
+    "matmul-sampled/stdout":
+        "12f745cafc118b2f0965c0da871b38ffff5efa6b3635c1556ffec31c436a96fa",
+    "matmul-sampled/matmul.csv":
+        "b110c6a3fbd4bfe3fec12c6ecc10dc68c5dcd5972eeaa47e1045f9dc31240a26",
+    "matmul-sampled/matmul_summary.json":
+        "cf2697c6a5f8777c30ace006edcc0f1bfeb4a3fd661c6c5f0a79707a518e2d8e",
+    "matmul-sampled/product.csv":
+        "e25eb263c9ec6d34f3ea00a2caf94454d0102ab90656404df8a49ca3cca047b9",
     "sweep-resigned/stdout":
         "1455290990394734bf59105471af4415a71193e7c8e9d925219fcef4ef56b2a6",
     "sweep-resigned/correlation.json":
@@ -595,6 +621,12 @@ GOLDEN = {
         "167920aebb4302030f39be1a7c8247313a32c102a955c6fa7c419986152d64a7",
     "train/train_report.json":
         "4c9431cb87e3a60f9add74b576b8375171f32763ebd5777a2086e270b5f43d05",
+    "train-idx/stdout":
+        "2ddc086abe797c0ef8110db4246fad13ad5c98d3d8c986cd76ce0696967f354b",
+    "train-idx/train_epochs.csv":
+        "5473e15e799850858b3dbb16e4a0dbddfabf50bf913ae61204198c31ba44d2e2",
+    "train-idx/train_report.json":
+        "61b55aa2b7d8b64948101d01e46d78651dcd47d71d7f3401302ea0026898e113",
 }
 
 

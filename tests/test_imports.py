@@ -1,4 +1,4 @@
-"""Eight lints over the package source.
+"""Nine lints over the package source.
 
 No linter ships with the toolchain, so these tests parse each module of the
 package:
@@ -12,6 +12,8 @@ package:
     no caller can meet;
   * no module but `vectors.py` calls `linalg.norm`, so every norm in the
     package follows the one rule there;
+  * no module but `vectors.py` raises `NonFiniteInput`, so every finiteness
+    check on an operand goes through its one validator;
   * the package's only scipy import is the one inside
     `entropy.variance_band`, so every other path starts on numpy alone;
   * no module but `cli.py` imports `json`, and no module but `cli.py` and
@@ -180,6 +182,34 @@ def test_a_norm_outside_vectors_is_reported():
         "    return np.linalg.norm(m, axis=1) + _norm(m, axis=1) + np.dot(m, m)\n"
     )
     assert norm_calls(source) == ["line 2: numpy.linalg.norm", "line 5: np.linalg.norm"]
+
+
+def nonfinite_raises(source: str) -> list[str]:
+    """`raise` statements that name NonFiniteInput."""
+    found = sorted((line, ast.unparse(target)) for line, target, name in raised(source)
+                   if name == "NonFiniteInput")
+    return [f"line {line}: {text}" for line, text in found]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "vectors.py"],
+                         ids=lambda p: p.name)
+def test_only_vectors_raises_nonfinite_input(path):
+    assert nonfinite_raises(path.read_text()) == []
+
+
+def test_a_nonfinite_raise_outside_vectors_is_reported():
+    source = (
+        "import numpy as np\n"
+        "from . import errors\n"
+        "from .errors import InvalidArgument, NonFiniteInput\n"
+        "def f(x):\n"
+        "    if not np.isfinite(x).all():\n"
+        "        raise NonFiniteInput('x contains NaN or Inf')\n"
+        "    if x.size == 0:\n"
+        "        raise InvalidArgument('empty') from None\n"
+        "    raise errors.NonFiniteInput\n"
+    )
+    assert nonfinite_raises(source) == ["line 6: NonFiniteInput", "line 9: errors.NonFiniteInput"]
 
 
 def scipy_imports(source: str) -> list[str]:

@@ -1,11 +1,13 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import write_idx_images, write_idx_labels
 from qstacker import (
     Dataset,
     Model,
@@ -82,6 +84,10 @@ class TestForward:
         model = Model(w1=np.zeros((4, 4)), w2=np.zeros((3, 4)))
         with pytest.raises(ShapeMismatch):
             forward(model, np.zeros(5))
+        # a W2 that does not chain with W1 is refused by the second product
+        unchained = Model(w1=np.zeros((4, 4)), w2=np.zeros((3, 5)))
+        with pytest.raises(ShapeMismatch, match=r"cannot multiply \(3, 5\) by \(4, 1\)"):
+            forward(unchained, np.zeros(4))
 
     def test_unknown_mode_raises_before_any_job(self, monkeypatch):
         import qstacker.stacking
@@ -336,6 +342,27 @@ class TestMnistIngest:
         blocks = img.reshape(14, 2, 14, 2).mean(axis=(1, 3))
         assert np.allclose(pooled.reshape(14, 14), blocks, atol=1e-12)
 
+    def test_a_limit_converts_only_the_records_it_keeps(self, tmp_path):
+        """On 2,000 28x28 images, limit=10 peaks under 4 MB: the records are
+        cut before conversion (all 2,000 as float64 take 12.5 MB), and the
+        features are the full file's first 10, bit for bit."""
+        rng = np.random.default_rng(29)
+        images, labels = tmp_path / "images", tmp_path / "labels"
+        write_idx_images(images, rng.integers(0, 256, size=(2000, 28, 28)))
+        write_idx_labels(labels, rng.integers(0, 10, size=2000))
+        tracemalloc.start()
+        try:
+            ingest_mnist_idx(images, labels, limit=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        for downsample in (1, 2):
+            full, full_y = ingest_mnist_idx(images, labels, downsample=downsample)
+            cut, cut_y = ingest_mnist_idx(images, labels, downsample=downsample, limit=10)
+            assert cut.tobytes() == full[:10].tobytes()
+            assert cut_y.tobytes() == full_y[:10].tobytes()
+
     def test_magic_mismatch(self, tmp_path, mnist_idx_files):
         images, labels = mnist_idx_files
         bad = tmp_path / "bad-idx"
@@ -399,6 +426,12 @@ class TestRunConfig:
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(f"shape=4,4,3\nepochs=3\n# retuned\nepochs=5\ndataset={iris_path}\n")
         with pytest.raises(ParseError, match=r"run.cfg:4: key 'epochs' given twice, first on line 2"):
+            load_run(cfg_file)
+
+    def test_an_empty_key_is_refused(self, tmp_path, iris_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"shape=4,4,3\n =5\ndataset={iris_path}\n")
+        with pytest.raises(ParseError, match=r"run.cfg:2: empty key"):
             load_run(cfg_file)
 
     def test_missing_shape(self):

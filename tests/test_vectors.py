@@ -89,6 +89,13 @@ class TestNorms:
         for row, norm in zip(m, rows):
             assert encode(row).source_norm == norm
 
+    def test_a_norm_past_the_float_range_reads_inf(self):
+        # encode's rule: inf with no overflow warning, which the suite turns into an error
+        m = np.array([[1.5e308, 1.5e308]])
+        assert _norm(m, axis=1)[0] == math.inf
+        assert _norm(m.T, axis=0)[0] == math.inf
+        assert encode(m[0]).source_norm == math.inf
+
     def test_identity_rows(self):
         assert np.array_equal(_norm(np.eye(2), axis=1), [1, 1])
 
