@@ -23,8 +23,6 @@ from .entropy import (
 )
 from .hadamard import (
     HadamardJob,
-    OverlapEstimate,
-    ShotResult,
     analytic_overlap,
     circuit_verify,
     estimate,

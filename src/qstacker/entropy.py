@@ -28,6 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConstantSeries, InvalidArgument, InvalidDistribution, NoCrossing, as_enum, as_int
+from .hadamard import estimate
 from .seeding import derive_seed, job_rng
 from .vectors import EncodedState
 
@@ -42,7 +43,7 @@ class ProbDist:
     p: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.p, dtype=np.float64)
+        arr = np.array(self.p, dtype=np.float64)  # its own copy, frozen below
         if arr.ndim != 1 or arr.size < 1:
             raise InvalidDistribution(f"expected a 1-D vector, got shape {arr.shape}")
         if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
@@ -75,7 +76,7 @@ def shannon_entropy(p: np.ndarray) -> float:
 
 def entropy(dist: ProbDist | np.ndarray) -> EntropyReport:
     if not isinstance(dist, ProbDist):
-        dist = ProbDist(np.asarray(dist, dtype=np.float64))
+        dist = ProbDist(dist)
     h = shannon_entropy(dist.p)
     purity = float(np.sum(dist.p**2))
     return EntropyReport(
@@ -246,7 +247,7 @@ def variance_sweep(
             mus = np.full(repetitions, mu)
         p0 = np.clip((1.0 + mus) / 2.0, 0.0, 1.0)
         counts = rng.binomial(shots, p0)
-        z = 2.0 * counts / shots - 1.0
+        z = estimate(counts, shots)
         records.append(
             SweepRecord(
                 family=family.value,
@@ -458,7 +459,7 @@ def concentration_check(
     """Monte-Carlo check that E[mu^2] >= e^{-H} for mu = <psi|V|psi> with V a
     random sign-diagonal unitary (|V_ii| = 1)."""
     if not isinstance(dist, ProbDist):
-        dist = ProbDist(np.asarray(dist, dtype=np.float64))
+        dist = ProbDist(dist)
     trials = as_int(trials, "trials", minimum=2)
     rng = job_rng(seed)
     signs = rng.integers(0, 2, size=(trials, dist.n)) * 2 - 1

@@ -31,7 +31,8 @@ MAX_VERIFY_QUBITS = 10  # data qubits; the explicit circuit adds one ancilla
 
 @dataclass(frozen=True)
 class HadamardJob:
-    """One inner-product estimation task: a state pair, shot count, seed."""
+    """One inner-product estimation task: a state pair, shot count, seed.
+    analytic_overlap checks that the states' dimensions agree when it runs."""
 
     psi: EncodedState
     phi: EncodedState
@@ -39,30 +40,7 @@ class HadamardJob:
     seed: int
 
     def __post_init__(self):
-        if self.psi.dim != self.phi.dim:
-            raise ShapeMismatch(f"{self.psi.dim} != {self.phi.dim}")
         object.__setattr__(self, "shots", as_int(self.shots, "shots", minimum=1))
-
-
-@dataclass(frozen=True)
-class ShotResult:
-    """Ancilla measurement tallies for one job."""
-
-    count0: int
-    count1: int
-
-    @property
-    def shots(self) -> int:
-        return self.count0 + self.count1
-
-
-@dataclass(frozen=True)
-class OverlapEstimate:
-    """Estimator z_hat = P(0) - P(1) plus simulation-side truth."""
-
-    z_hat: float
-    true_overlap: float | None = None
-    variance_theoretical: float | None = None
 
 
 def analytic_overlap(psi: EncodedState, phi: EncodedState) -> float:
@@ -75,26 +53,21 @@ def analytic_overlap(psi: EncodedState, phi: EncodedState) -> float:
     return min(max(float(np.dot(psi.amplitudes, phi.amplitudes)), -1.0), 1.0)
 
 
-def sample_hadamard(job: HadamardJob) -> ShotResult:
-    """Draw ancilla counts for one job.
+def sample_hadamard(job: HadamardJob) -> int:
+    """The job's ancilla |0> count.
 
     count0 ~ Binomial(S, (1 + mu)/2) from the job's own Philox stream;
     identical jobs (including seed) always yield identical counts.
     """
     mu = analytic_overlap(job.psi, job.phi)
     # p0 lies in [0, 1]: mu is clamped to [-1, 1], rounding is monotone, 0 and 2 are exact
-    count0 = job_binomial(job.seed, job.shots, (1.0 + mu) / 2.0)
-    return ShotResult(count0=count0, count1=job.shots - count0)
+    return job_binomial(job.seed, job.shots, (1.0 + mu) / 2.0)
 
 
-def estimate(result: ShotResult, true_overlap: float | None = None) -> OverlapEstimate:
-    """Turn counts into the overlap estimator z_hat = (count0 - count1)/S."""
-    shots = result.shots
-    z_hat = (result.count0 - result.count1) / shots
-    var = None
-    if true_overlap is not None:
-        var = (1.0 - true_overlap ** 2) / shots
-    return OverlapEstimate(z_hat=z_hat, true_overlap=true_overlap, variance_theoretical=var)
+def estimate(count0, shots: int):
+    """z_hat = P(0) - P(1) = (2 count0 - S)/S for an int or an integer array of
+    counts; the numerator is exact, so both round once and agree bit for bit."""
+    return (2 * count0 - shots) / shots
 
 
 def _mapping_unitary(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:

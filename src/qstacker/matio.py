@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
-from .vectors import as_matrix
+from .vectors import _finite, as_matrix
 
 _HEADER = struct.Struct("<II")
 # IDX magic of a uint8 payload, by its number of dimensions
@@ -62,7 +62,7 @@ def read_matrix_csv(path) -> np.ndarray:
         rows.append(row)
     if not rows:
         raise ParseError(f"{path}: no rows")
-    return as_matrix(np.array(rows, dtype=np.float64))
+    return _finite(rows, 2, f"{path}: matrix")
 
 
 def write_matrix_csv(path, m) -> None:
@@ -77,7 +77,7 @@ def read_matrix_bin(path) -> np.ndarray:
     if rows == 0 or cols == 0:
         raise ParseError(f"{path}: zero dimension in header ({rows}x{cols})")
     data = np.frombuffer(payload, dtype="<f8")
-    return as_matrix(data.reshape(rows, cols).astype(np.float64))
+    return _finite(data.reshape(rows, cols).astype(np.float64), 2, f"{path}: matrix")
 
 
 def write_matrix_bin(path, m) -> None:

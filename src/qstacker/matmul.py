@@ -103,13 +103,12 @@ def _sample(a_rows, b_cols, cfg: MatMulConfig):
         for i, j in live
     ]
     the_plan = plan_jobs(len(jobs), cols, a_rows[0].shape[1], cfg.pattern, cfg.qubit_budget)
-    results = execute_plan(the_plan, jobs)
+    counts = execute_plan(the_plan, jobs)
     z_hat = np.zeros((rows, cols))
     true_overlap = np.zeros((rows, cols))
-    for (i, j), res, job in zip(live, results, jobs):
-        mu = analytic_overlap(job.psi, job.phi)
-        z_hat[i, j] = estimate(res, true_overlap=mu).z_hat
-        true_overlap[i, j] = mu
+    for (i, j), count0, job in zip(live, counts, jobs):
+        z_hat[i, j] = estimate(count0, cfg.shots)
+        true_overlap[i, j] = analytic_overlap(job.psi, job.phi)
     return z_hat, true_overlap, the_plan
 
 

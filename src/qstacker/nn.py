@@ -23,6 +23,7 @@ from .errors import EmptyDataset, InvalidArgument, ParseError, ShapeMismatch, as
 from .matio import read_idx, read_lines
 from .matmul import MatMulConfig, matmul
 from .seeding import derive_seed, job_rng
+from .vectors import _finite
 
 
 class ForwardMode(str, Enum):
@@ -310,7 +311,7 @@ def ingest_iris(path, split_seed: int = SPLIT_SEED) -> Dataset:
         names.append(parts[4])
     if not rows:
         raise ParseError(f"{path}: no samples")
-    features = np.array(rows, dtype=np.float64)
+    features = _finite(rows, 2, f"{path}: feature matrix")
     classes = sorted(set(names))
     labels = np.array([classes.index(nm) for nm in names], dtype=np.int64)
     std = features.std(axis=0)

@@ -46,7 +46,7 @@ class EncodedState:
     source_norm: float
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.float64)
+        amps = np.array(self.amplitudes, dtype=np.float64)  # its own copy, frozen below
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 

@@ -514,7 +514,7 @@ def golden_hashes(root, iris_path, run) -> dict:
     `plan`, `matmul --exact` on CSV and .bin operands with a zero row and a
     zero column, a sampled `matmul --check-classical` at 1024 shots on CSV
     operands with a zero row and a zero column, `entropy-sweep` under both
-    pairings, a classical `train` on IRIS and a quantum `train` on an IDX
+    pairings and at a shot count that is not a power of two, a classical `train` on IRIS and a quantum `train` on an IDX
     pair. run(argv) runs the CLI and returns (exit code, stdout).
     train_report.json is hashed without its wall_clock_s line, the one value
     that differs between runs."""
@@ -551,6 +551,9 @@ def golden_hashes(root, iris_path, run) -> dict:
         "sweep-independent": ["entropy-sweep", "--families", "normal,chisquare",
                               "--levels", "3", "--dim", "8", "--shots", "256", "--reps", "20",
                               "--seed", "12", "--pairing", "independent"],
+        "sweep-shots-1000": ["entropy-sweep", "--families", "uniform,exponential,interpolated",
+                             "--levels", "4", "--dim", "8", "--shots", "1000", "--reps", "20",
+                             "--seed", "13", "--pairing", "resigned"],
         "matmul-sampled": ["matmul", "--a", str(root / "sa.csv"), "--b", str(root / "sb.csv"),
                            "--shots", "1024", "--seed", "17", "--check-classical"],
         "train": ["train", "--config", str(root / "run.cfg")],
@@ -573,7 +576,8 @@ def golden_hashes(root, iris_path, run) -> dict:
 
 # recorded at the commit before the artifact writers moved into qstacker.cli;
 # the matmul-sampled and train-idx entries at the commit before sample_hadamard
-# stopped clamping p0
+# stopped clamping p0; the sweep-shots-1000 entries once variance_sweep took
+# its z from hadamard.estimate
 GOLDEN = {
     "plan/stdout":
         "3d18bc24a140844a6a9d68215cadddeb65a33d030674221640f641a89515ab27",
@@ -595,6 +599,12 @@ GOLDEN = {
         "e0257660058f5551d64a3a7d595a57f3a7637d9caf38995e48641be067fb81b2",
     "matmul-bin/product.csv":
         "87465dc42c51b6c62e7921b211e7364d0604fa8ff1c5353f538138bc11570339",
+    "sweep-shots-1000/stdout":
+        "0b8ae30ac83ed085b43ff1d3984da8fb27009c7e612519f0b4fa6c4f5653de7b",
+    "sweep-shots-1000/correlation.json":
+        "5eaa612330e5388bcad87c90c98a02da16aab751f129671e74807055f5e40aae",
+    "sweep-shots-1000/sweep.csv":
+        "717665613f4d206407bd7add1da62f5a2a6c378fcf2c38824a6ade5856177fc8",
     "matmul-sampled/stdout":
         "12f745cafc118b2f0965c0da871b38ffff5efa6b3635c1556ffec31c436a96fa",
     "matmul-sampled/matmul.csv":

@@ -23,6 +23,7 @@ from qstacker import (
 from qstacker.cli import write_sweep_csv
 from qstacker.entropy import LN2, _isotonic_decreasing, _t_two_tailed, shannon_entropy
 from qstacker.errors import ConstantSeries, InvalidArgument, InvalidDistribution, NoCrossing
+from qstacker.vectors import EncodedState
 
 FAMILIES = list(StateFamily)
 
@@ -57,6 +58,20 @@ class TestEntropyReport:
             ProbDist(np.array([-0.1, 1.1]))
         with pytest.raises(InvalidDistribution):
             ProbDist(np.array([0.5, float("nan")]))
+
+
+@pytest.mark.parametrize("make", [
+    ProbDist,
+    lambda p: EncodedState(p, 1.0),
+    entropy,
+    lambda p: concentration_check(p, trials=10, seed=1),
+], ids=["ProbDist", "EncodedState", "entropy", "concentration_check"])
+def test_a_record_freezes_its_own_copy(make):
+    p = np.array([0.5, 0.5])
+    record = make(p)
+    p[0] = 0.25  # the caller's array stays writable
+    for held in (getattr(record, name) for name in ("p", "amplitudes") if hasattr(record, name)):
+        assert held.tolist() == [0.5, 0.5] and not held.flags.writeable
 
 
 class TestDividendBound:

@@ -1,4 +1,5 @@
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from qstacker import (
     swap_test_overlap_squared,
 )
 from qstacker.errors import ShapeMismatch, ZeroState
-from qstacker.hadamard import ShotResult
 from qstacker.vectors import EncodedState
 
 
@@ -89,14 +89,14 @@ class TestSampling:
     def test_mu_plus_one_is_deterministic(self):
         s = encode([1.0, 1.0])
         for shots in (1, 7, 4096):
-            res = sample_hadamard(HadamardJob(psi=s, phi=s, shots=shots, seed=1))
-            assert res.count0 == shots and res.count1 == 0
+            count0 = sample_hadamard(HadamardJob(psi=s, phi=s, shots=shots, seed=1))
+            assert type(count0) is int and count0 == shots
 
     def test_mu_minus_one_is_deterministic(self):
         psi = encode([1.0, 1.0])
         phi = encode([-1.0, -1.0])
-        res = sample_hadamard(HadamardJob(psi=psi, phi=phi, shots=512, seed=9))
-        assert res.count0 == 0 and res.count1 == 512
+        count0 = sample_hadamard(HadamardJob(psi=psi, phi=phi, shots=512, seed=9))
+        assert count0 == 0
 
     def test_mu_zero_fixture(self):
         # frozen count for this exact job; the 5-sigma band is the
@@ -107,9 +107,9 @@ class TestSampling:
             shots=65536,
             seed=derive_seed(2024, 0),
         )
-        res = sample_hadamard(job)
-        assert res.count0 == 32698
-        assert abs(res.count0 / 65536 - 0.5) <= 5 * np.sqrt(0.25 / 65536)
+        count0 = sample_hadamard(job)
+        assert count0 == 32698
+        assert abs(count0 / 65536 - 0.5) <= 5 * np.sqrt(0.25 / 65536)
 
     def test_determinism(self):
         rng = np.random.default_rng(6)
@@ -127,31 +127,40 @@ class TestSampling:
     def test_counts_sum_to_shots(self):
         rng = np.random.default_rng(8)
         psi, phi = random_pair(rng, 4)
-        res = sample_hadamard(HadamardJob(psi=psi, phi=phi, shots=999, seed=3))
-        assert res.count0 + res.count1 == 999 and res.count0 >= 0 and res.count1 >= 0
+        count0 = sample_hadamard(HadamardJob(psi=psi, phi=phi, shots=999, seed=3))
+        assert type(count0) is int and 0 <= count0 <= 999
+
+    def test_dim_mismatch_is_refused_when_the_job_runs(self):
+        job = HadamardJob(psi=encode([1, 0]), phi=encode([1, 0, 0]), shots=4, seed=1)
+        with pytest.raises(ShapeMismatch, match="2 != 3"):
+            sample_hadamard(job)
 
 
 class TestEstimate:
     def test_all_zeros_outcome(self):
-        assert estimate(ShotResult(count0=100, count1=0)).z_hat == 1.0
+        assert estimate(100, 100) == 1.0
 
     def test_balanced_outcome(self):
-        assert estimate(ShotResult(count0=50, count1=50)).z_hat == 0.0
+        assert estimate(50, 100) == 0.0
 
     def test_three_quarters(self):
-        assert estimate(ShotResult(count0=75, count1=25)).z_hat == 0.5
+        assert estimate(75, 100) == 0.5
 
     def test_difference_form_equals_2p0_minus_1(self):
         rng = np.random.default_rng(9)
         for _ in range(100):
             shots = int(rng.integers(1, 10000))
             count0 = int(rng.integers(0, shots + 1))
-            res = ShotResult(count0=count0, count1=shots - count0)
-            assert estimate(res).z_hat == pytest.approx(2 * count0 / shots - 1, abs=1e-15)
+            assert estimate(count0, shots) == pytest.approx(2 * count0 / shots - 1, abs=1e-15)
 
-    def test_variance_attached_when_truth_known(self):
-        est = estimate(ShotResult(count0=6, count1=2), true_overlap=0.5)
-        assert est.variance_theoretical == pytest.approx((1 - 0.25) / 8)
+    @pytest.mark.parametrize("shots", [1, 3, 1000, 12345])
+    def test_rounded_once_for_ints_and_arrays(self, shots):
+        exact = [float(Fraction(2 * count0 - shots, shots)) for count0 in range(shots + 1)]
+        ints = [estimate(count0, shots) for count0 in range(shots + 1)]
+        array = estimate(np.arange(shots + 1), shots)
+        assert all(type(z) is float for z in ints)
+        assert struct.pack(f"<{shots + 1}d", *ints) == struct.pack(f"<{shots + 1}d", *exact)
+        assert array.dtype == np.float64 and array.tobytes() == np.array(exact).tobytes()
 
     def test_unbiasedness(self):
         rng = np.random.default_rng(10)
@@ -162,8 +171,9 @@ class TestEstimate:
             estimate(
                 sample_hadamard(
                     HadamardJob(psi=psi, phi=phi, shots=shots, seed=derive_seed(10, k))
-                )
-            ).z_hat
+                ),
+                shots,
+            )
             for k in range(reps)
         ]
         tol = 4 * np.sqrt((1 - mu * mu) / (shots * reps))
@@ -245,8 +255,9 @@ class TestSwapComparator:
                 break
         zs = [
             estimate(
-                sample_hadamard(HadamardJob(psi=psi, phi=phi, shots=1024, seed=derive_seed(15, k)))
-            ).z_hat
+                sample_hadamard(HadamardJob(psi=psi, phi=phi, shots=1024, seed=derive_seed(15, k))),
+                1024,
+            )
             for k in range(300)
         ]
         assert np.mean(zs) < 0  # the comparator's square hides exactly this

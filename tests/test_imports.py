@@ -1,4 +1,4 @@
-"""Nine lints over the package source.
+"""Ten lints over the package source.
 
 No linter ships with the toolchain, so these tests parse each module of the
 package:
@@ -20,7 +20,10 @@ package:
     `matio.py` opens a file for writing, so every artifact is written by
     the CLI under its one JSON and CSV rules;
   * no module but `matio.py` reads a file, so every input file is parsed
-    through its one line reader and its one exact-payload reader.
+    through its one line reader and its one exact-payload reader;
+  * every `setflags(write=False)` freezes an array that the same function
+    made with `np.array(...)`, never one that `np.asarray` may have handed
+    over from a caller, so a record never freezes its caller's array.
 """
 
 import ast
@@ -399,4 +402,73 @@ def test_a_file_read_outside_matio_is_reported():
         "line 6: open('r+')", "line 6: open('rb')", "line 6: open()", "line 8: open(mode)",
         "line 9: read_text", "line 10: read_bytes", "line 11: np.fromfile", "line 11: np.genfromtxt",
         "line 11: np.load", "line 11: np.loadtxt",
+    ]
+
+
+def own_nodes(func):
+    """The nodes of a function's body, leaving out those of nested functions."""
+    for child in ast.iter_child_nodes(func):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from own_nodes(child)
+
+
+def borrowed_freezes(source: str) -> list[str]:
+    """`setflags(write=False)` calls (write by keyword or first argument) whose
+    array is not a name that the enclosing function binds only to `np.array(...)`."""
+    tree = ast.parse(source)
+    found = []
+    for scope in [tree, *(n for n in ast.walk(tree)
+                          if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))]:
+        nodes = list(own_nodes(scope))
+        bound = {}
+        for node in nodes:
+            if isinstance(node, ast.Assign):
+                made = isinstance(node.value, ast.Call) and ast.unparse(node.value.func) == "np.array"
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        bound[target.id] = bound.get(target.id, True) and made
+        for node in nodes:
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "setflags"):
+                continue
+            write = [kw.value for kw in node.keywords if kw.arg == "write"] or node.args[:1]
+            if not (write and isinstance(write[0], ast.Constant) and write[0].value is False):
+                continue
+            array = node.func.value
+            if not (isinstance(array, ast.Name) and bound.get(array.id)):
+                found.append((node.lineno, ast.unparse(array)))
+    return [f"line {line}: {text}" for line, text in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_frozen_arrays_are_the_functions_own(path):
+    assert borrowed_freezes(path.read_text()) == []
+
+
+def test_a_borrowed_freeze_is_reported():
+    source = (
+        "import numpy as np\n"
+        "def own(x):\n"
+        "    arr = np.array(x, dtype=np.float64)\n"
+        "    arr.setflags(write=False)\n"
+        "    arr.setflags(write=True)\n"
+        "    return arr\n"
+        "def borrowed(x):\n"
+        "    arr = np.asarray(x, dtype=np.float64)\n"
+        "    arr.setflags(write=False)\n"
+        "def rebound(x):\n"
+        "    arr = np.array(x)\n"
+        "    arr = np.asarray(arr)\n"
+        "    arr.setflags(False)\n"
+        "def nested(x):\n"
+        "    arr = np.array(x)\n"
+        "    def inner():\n"
+        "        arr.setflags(write=False)\n"
+        "    x.values.setflags(write=False)\n"
+        "    return inner\n"
+        "np.zeros(3).setflags(write=False)\n"
+    )
+    assert borrowed_freezes(source) == [
+        "line 9: arr", "line 13: arr", "line 17: arr", "line 18: x.values", "line 20: np.zeros(3)",
     ]

@@ -22,7 +22,7 @@ from qstacker import (
     train,
 )
 from qstacker import nn
-from qstacker.errors import EmptyDataset, InvalidArgument, ParseError, ShapeMismatch
+from qstacker.errors import EmptyDataset, InvalidArgument, NonFiniteInput, ParseError, ShapeMismatch
 from qstacker.matio import read_matrix_csv
 from qstacker.nn import (
     _TAG_EVAL,
@@ -317,6 +317,16 @@ class TestIrisIngest:
         bad = tmp_path / "bad.csv"
         bad.write_text("1.0,2.0,3.0\n")
         with pytest.raises(ParseError):
+            ingest_iris(bad)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_a_nonfinite_feature_names_the_file(self, tmp_path, iris_path, value):
+        lines = Path(iris_path).read_text().splitlines()
+        features = lines[7].split(",")
+        lines[7] = ",".join([value, *features[1:]])
+        bad = tmp_path / "iris.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(NonFiniteInput, match=f"^{re.escape(str(bad))}: feature matrix contains NaN or Inf$"):
             ingest_iris(bad)
 
 

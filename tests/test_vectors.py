@@ -1,4 +1,6 @@
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -172,6 +174,20 @@ class TestMatrixIO:
         path.write_bytes((0).to_bytes(4, "little") + (4).to_bytes(4, "little") + payload)
         with pytest.raises(ParseError, match=message):
             read_matrix_bin(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_a_nonfinite_csv_entry_names_the_file(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"1.0,2.0\n3.0,{value}\n")
+        with pytest.raises(NonFiniteInput, match=f"^{re.escape(str(path))}: matrix contains NaN or Inf$"):
+            read_matrix(path)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_a_nonfinite_binary_entry_names_the_file(self, tmp_path, value):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(struct.pack("<II2d", 1, 2, 1.0, value))
+        with pytest.raises(NonFiniteInput, match=f"^{re.escape(str(path))}: matrix contains NaN or Inf$"):
+            read_matrix(path)
 
     def test_csv_parse_error(self, tmp_path):
         path = tmp_path / "bad.csv"
