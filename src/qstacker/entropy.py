@@ -16,6 +16,13 @@ bounds from below: e^{-H} <= sum(p_i^2). Two consequences are measurable:
 This module generates state families, runs the sweeps, and provides the
 correlation/crossing statistics used to verify both effects, plus the
 entropy-driven shot scheduler.
+
+Each state, sweep level and concentration check draws from a re-keyed
+generator (seeding.rekeyed_rng), the stream job_rng would build; the sweep's
+level stream and generate_state's are distinct objects, since the partner of
+an INDEPENDENT level is drawn while the level's stream is live. Sign matrices
+come from raw Philox words (seeding.random_signs), and the per-level
+statistics are np.add.reduce forms of np.mean and np.var, bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import numpy as np
 
 from .errors import ConstantSeries, InvalidArgument, InvalidDistribution, NoCrossing, as_enum, as_int
 from .hadamard import estimate
-from .seeding import derive_seed, job_rng
+from .seeding import derive_seed, random_signs, rekeyed_rng
 from .vectors import EncodedState
 
 LN2 = math.log(2.0)
@@ -142,7 +149,7 @@ def generate_state(
     n = as_int(n, "n")
     if n < 2:
         raise InvalidArgument(f"need support size >= 2, got n={n}")
-    rng = job_rng(seed)
+    rng = rekeyed_rng(seed, "generate_state")
     p = np.zeros(n)
     if family is StateFamily.INTERPOLATED:
         if t is None:
@@ -171,6 +178,8 @@ def generate_state(
             w = rng.chisquare(1, size=m)
             p[idx] = w / w.sum()
     dist = ProbDist(p)
+    # not random_signs: the uniform family's integers(1, n + 1) may have left
+    # a buffered 32-bit half, which integers(0, 2) draws first
     signs = rng.integers(0, 2, size=n) * 2 - 1
     amps = signs * np.sqrt(p)
     return EncodedState(amps, 1.0), dist
@@ -204,6 +213,19 @@ class SweepRecord:
     repetitions: int
 
 
+def _mean(x: np.ndarray) -> float:
+    """np.mean(x) of a 1-D float64 array, bit for bit, without its dispatch."""
+    return float(np.add.reduce(x) / x.size)
+
+
+def _var(x: np.ndarray) -> float:
+    """np.var(x, ddof=1) of a 1-D float64 array, bit for bit: the same pairwise
+    sums of the same squared deviations from the same mean."""
+    dev = x - np.add.reduce(x) / x.size
+    dev *= dev
+    return float(np.add.reduce(dev) / (x.size - 1))
+
+
 def variance_sweep(
     family: StateFamily,
     levels,
@@ -232,14 +254,11 @@ def variance_sweep(
         shape = {"t": float(level)} if family is StateFamily.INTERPOLATED else {"support": level}
         psi, dist = generate_state(family, dim, derive_seed(seed, j), **shape)
         rep = entropy(dist)
-        rng = job_rng(derive_seed(seed, j, 1))
+        # a stream of its own: generate_state re-keys its generator for the
+        # INDEPENDENT partner while this one is live
+        rng = rekeyed_rng(derive_seed(seed, j, 1), "variance_sweep")
         if pairing is SweepPairing.RESIGNED:
-            # signs built in place: malloc hands a whole-matrix temporary freed
-            # at the top of the heap back to the OS, and the next level faults
-            # it in again (about 750 page faults per 16 levels of 500 x 64)
-            taus = rng.integers(0, 2, size=(repetitions, dim))
-            taus *= 2
-            taus -= 1
+            taus = random_signs(rng, (repetitions, dim))
             mus = taus @ dist.p  # <psi| V_b |psi> = sum_i p_i tau_bi
         else:
             phi, _ = generate_state(family, dim, derive_seed(seed, j, 2), **shape)
@@ -258,10 +277,10 @@ def variance_sweep(
                 entropy_nats=rep.shannon_nats,
                 entropy_bits=rep.shannon_bits,
                 purity=rep.purity,
-                empirical_variance=float(np.mean((z - mus) ** 2)),
-                overlap_variance=float(np.var(mus, ddof=1)),
-                total_variance=float(np.var(z, ddof=1)),
-                expected_shot_variance=float((1.0 - np.mean(mus**2)) / shots),
+                empirical_variance=_mean((z - mus) ** 2),
+                overlap_variance=_var(mus),
+                total_variance=_var(z),
+                expected_shot_variance=(1.0 - _mean(mus**2)) / shots,
                 theoretical_ceiling=1.0 / shots,
                 dividend_bound=dividend_bound(rep.shannon_nats, shots),
                 shots=shots,
@@ -419,6 +438,10 @@ def crossing_point(sweep_a, sweep_b) -> CrossingPoint:
     grid = np.union1d(np.linspace(lo, hi, 2049), np.concatenate([xa, xb]))
     grid = grid[(grid >= lo) & (grid <= hi)]
     diff = np.interp(grid, xa, fa) - np.interp(grid, xb, fb)
+    # np.interp's slope over a subnormal entropy step can overflow to inf;
+    # such points carry no ordering, so the scan skips them
+    keep = np.isfinite(diff)
+    grid, diff = grid[keep], diff[keep]
     scale = max(np.abs(ya).max(), np.abs(yb).max(), 1e-300)
     sign = np.sign(np.where(np.abs(diff) <= 1e-12 * scale, 0.0, diff))
     nonzero = np.flatnonzero(sign)
@@ -461,12 +484,11 @@ def concentration_check(
     if not isinstance(dist, ProbDist):
         dist = ProbDist(dist)
     trials = as_int(trials, "trials", minimum=2)
-    rng = job_rng(seed)
-    signs = rng.integers(0, 2, size=(trials, dist.n)) * 2 - 1
+    signs = random_signs(rekeyed_rng(seed, "concentration_check"), (trials, dist.n))
     mus = signs @ dist.p
     sq = mus**2
-    est = float(np.mean(sq))
-    se = float(np.std(sq, ddof=1) / math.sqrt(trials))
+    est = _mean(sq)
+    se = math.sqrt(_var(sq)) / math.sqrt(trials)
     bound = float(np.exp(-shannon_entropy(dist.p)))
     return ConcentrationVerdict(
         estimate=est,

@@ -5,14 +5,20 @@ coordinates (e.g. matrix element indices) through a splitmix64 mixing chain.
 Each job then owns a counter-based Philox stream, so results never depend on
 execution order or on how jobs are grouped into cycles.
 
-A Philox stream is fully set by its key and counter, so a single-draw job
-(job_binomial) re-keys one per-thread generator instead of building a new
-one: the stream is exactly that of job_rng(seed), without the cost of
-constructing a bit generator for every job.
+A Philox stream is fully set by its key and counter (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11), so a generator reset
+to key (seed, 0), counter zero and an empty buffer draws exactly what
+job_rng(seed) draws. rekeyed_rng resets a per-thread generator that way
+instead of building a new one, whose constructor gathers OS entropy for a
+SeedSequence it then discards; a single-draw job (job_binomial) draws from it.
+
+random_signs reads +/-1 signs straight from Philox's raw 64-bit words: the
+same values that integers(0, 2) gives, one word per two signs.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import threading
 
@@ -54,22 +60,49 @@ def job_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed & _MASK))
 
 
-_thread = threading.local()  # one re-keyed Philox generator per thread
+_streams = threading.local()  # per thread, one re-keyed generator per stream name
 
 
-def job_binomial(seed: int, shots: int, p0: float) -> int:
-    """One Binomial(shots, p0) draw, equal to job_rng(seed).binomial(shots, p0).
+def rekeyed_rng(seed: int, stream: str) -> np.random.Generator:
+    """Generator `stream` of the calling thread, reset to job_rng(seed)'s start
+    state: key (seed, 0), counter zero and an empty buffer.
 
-    The calling thread's generator is reset to key (seed, 0), counter zero and
-    an empty buffer, which is the state job_rng(seed) starts from.
+    It draws exactly what job_rng(seed) draws. The next call with the same
+    stream name on the same thread resets the same object, so code that keeps
+    two streams live at once gives them two names.
     """
     try:
-        bitgen, gen, state = _thread.philox
+        bitgen, gen, state = getattr(_streams, stream)
     except AttributeError:
         bitgen = np.random.Philox(key=0)
         gen = np.random.Generator(bitgen)
         state = bitgen.state
-        _thread.philox = bitgen, gen, state
+        setattr(_streams, stream, (bitgen, gen, state))
     state["state"]["key"][0] = seed & _MASK
     bitgen.state = state
-    return int(gen.binomial(shots, p0))
+    return gen
+
+
+def job_binomial(seed: int, shots: int, p0: float) -> int:
+    """One Binomial(shots, p0) draw, equal to job_rng(seed).binomial(shots, p0)."""
+    return int(rekeyed_rng(seed, "job_binomial").binomial(shots, p0))
+
+
+def random_signs(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """+/-1.0 signs equal to rng.integers(0, 2, size=shape) * 2 - 1, for a
+    Philox generator at a 64-bit word boundary (fresh from job_rng or
+    rekeyed_rng).
+
+    NumPy draws integers(0, 2) as bit 31 of one 32-bit half per value
+    (Lemire's method with range 2 never rejects), and Philox hands out the
+    low half of each 64-bit word first; so ceil(n/2) raw words give the n
+    signs in order. For odd n, integers keeps the last high half buffered
+    for a later 32-bit draw; draws of whole words that follow (binomial,
+    normal, uniform) are the same either way.
+    """
+    n = math.prod(shape)
+    words = np.asarray(rng.bit_generator.random_raw((n + 1) // 2), dtype="<u8")
+    signs = (words.view("<u4")[:n] >> 31).astype(np.float64)
+    signs *= 2.0
+    signs -= 1.0
+    return signs.reshape(shape)

@@ -73,13 +73,6 @@ def _unit_rows(rows: np.ndarray):
     return unit, mant, exp
 
 
-def _norm(arr: np.ndarray, axis: int) -> np.ndarray:
-    """Euclidean norm of each row (axis 1) or column (axis 0), by _unit_rows' rule."""
-    _, mant, exp = _unit_rows(np.ascontiguousarray(arr if axis == 1 else arr.T))
-    with np.errstate(over="ignore"):  # a norm past float64's range reads inf, as in _states
-        return np.ldexp(mant, exp)
-
-
 def _states(unit, mant, exp) -> list:
     """One EncodedState per unit row of a _unit_rows triple."""
     with np.errstate(over="ignore"):  # a norm past float64's range reads inf

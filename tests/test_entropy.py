@@ -1,8 +1,10 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qstacker import (
@@ -20,9 +22,10 @@ from qstacker import (
     variance_band,
     variance_sweep,
 )
-from qstacker.cli import write_sweep_csv
-from qstacker.entropy import LN2, _isotonic_decreasing, _t_two_tailed, shannon_entropy
+from qstacker.cli import _sweep_levels, write_sweep_csv
+from qstacker.entropy import LN2, _isotonic_decreasing, _mean, _t_two_tailed, _var, shannon_entropy
 from qstacker.errors import ConstantSeries, InvalidArgument, InvalidDistribution, NoCrossing
+from qstacker.seeding import job_rng
 from qstacker.vectors import EncodedState
 
 FAMILIES = list(StateFamily)
@@ -263,6 +266,63 @@ class TestVarianceSweep:
         assert lines[1].startswith("uniform,8,")
 
 
+# sha256 of repr([astuple(record) ...]) of variance_sweep at seed 2026 and
+# S = 8192, with cli._sweep_levels' levels (16 at dim 64, 6 at dim 7), keyed
+# by (dim, reps, family, pairing). Recorded before the sweep drew its signs
+# from raw Philox words and its generators were re-keyed: 500 x 64 is the
+# entropy-sweep-cli shape, and 11 x 7 signs are odd in number, so the old
+# integers(0, 2) path left a buffered 32-bit half before the binomial draws.
+SWEEP_STREAMS = {
+    (64, 500, "normal", "resigned"): "ca65d4fab540cbd0f99919df6e46e85a9e6a2518952ba98bcf7acbf36ae23279",
+    (64, 500, "normal", "independent"): "537cbbbfb4b0e4477f525f4f8bb911054b1157cd0208ec1b4a7cd28c564f5ea4",
+    (64, 500, "uniform", "resigned"): "6fd0d2bea67dc01ab75e2a1e348abe7ccf34aca3f2fe46729fb7606d387c876f",
+    (64, 500, "uniform", "independent"): "f7927ea0681ef2590b8d970e93caa2c1cafab6a9ef75291fc2ca86c7907fb894",
+    (64, 500, "exponential", "resigned"): "268e82c45c38f747af8dcae72b168808b31b0309c55c4e05997fb0120bfa871b",
+    (64, 500, "exponential", "independent"): "b029fe8e4411fd207493641c3072f0f0908e71e9f991a9c34b3036123ea41d4d",
+    (64, 500, "chisquare", "resigned"): "438ec6b64598911435b88d07d742ec7301b0c1580128db91e68bc1429905e5db",
+    (64, 500, "chisquare", "independent"): "3cbb72fb7fa229b0ba97e2646c95bfc25cb00598070a61eac6bf849537f2c71d",
+    (64, 500, "interpolated", "resigned"): "de6e89f4d832e7839823d03a5d95a4927c050117299d167b16d4a6c2a9cfbaae",
+    (64, 500, "interpolated", "independent"): "9bc9644c3420df7c5f17f208f3fded40bb82bcddac5b282608587a010c83e521",
+    (7, 11, "normal", "resigned"): "5f01b1c417f01f851dd20994cecbd2f9d2d2db9f26958e079f40b349bba6c35a",
+    (7, 11, "normal", "independent"): "b21af4e8d9a89c31a4fe4ea7a51a1fd69abc57cc507f518a2f81b43fd561d23f",
+    (7, 11, "uniform", "resigned"): "8a679234453ade00205ac3ec4a4f2a3619eae317ca6ea8b779c130820fe9f9b8",
+    (7, 11, "uniform", "independent"): "d4747cf0f2cf9730c623a7b272c5164966cd5899e8057516fcd07aed5fda1992",
+    (7, 11, "exponential", "resigned"): "4824489a00617c2c1253885496fe440d2fd2605acbc31655eba023ffe02d59ae",
+    (7, 11, "exponential", "independent"): "10d8ec1377438fa5b1c2931ecdeea544153ca562f9dad462fd6232f3876403f5",
+    (7, 11, "chisquare", "resigned"): "2cd6352a457ecf1b2d26c9fc9495f32768fe6bb705ebde3e3a30c1220abdda30",
+    (7, 11, "chisquare", "independent"): "e159cec360f3a8dce185279e723f196f5afdd7ff4e48176e5cfef3c57aa3a231",
+    (7, 11, "interpolated", "resigned"): "401e9aedf6f05297487d3793922cf1c837839b1c321cd4e144ae1ffc870104c3",
+    (7, 11, "interpolated", "independent"): "59faef964b9b65458201b042ccf8ad6ca7cc5824d84d7bf006d0f33d4ddd2c88",
+}
+
+
+@pytest.mark.parametrize("key", list(SWEEP_STREAMS), ids=lambda k: "-".join(map(str, k)))
+def test_sweep_streams_are_pinned(key):
+    dim, reps, family, pairing = key
+    fam = StateFamily(family)
+    records = variance_sweep(fam, _sweep_levels(fam, 16 if dim == 64 else 6, dim), dim=dim,
+                             shots=8192, repetitions=reps, seed=2026, pairing=pairing)
+    digest = hashlib.sha256(repr([dataclasses.astuple(r) for r in records]).encode()).hexdigest()
+    assert digest == SWEEP_STREAMS[key]
+
+
+class TestStatistics:
+    @settings(deadline=None, max_examples=300)
+    @given(size=st.integers(2, 5000), scale=st.integers(-8, 8), shift=st.floats(-3.0, 3.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_mean_and_var_are_numpy_bits(self, size, scale, shift, seed):
+        # a shift of the normal's centre brings the cancellation of a sample variance
+        x = (np.random.default_rng(seed).normal(size=size) + shift) * 10.0**scale
+        assert _mean(x) == float(np.mean(x))
+        assert _var(x) == float(np.var(x, ddof=1))
+
+    @pytest.mark.parametrize("x", [[1.0, 1.0], [0.0, 1e-8], [1e8, -1e8, 3.0], [0.1] * 4999])
+    def test_fixed_series(self, x):
+        x = np.array(x)
+        assert _mean(x) == float(np.mean(x))
+        assert _var(x) == float(np.var(x, ddof=1))
+
+
 class TestVarianceBand:
     def test_value_is_the_chi_square_quantile_over_r(self):
         from scipy.stats import chi2
@@ -409,6 +469,13 @@ class TestCrossingPoint:
         with pytest.raises(NoCrossing):
             crossing_point(a, b)
 
+    def test_skips_a_non_finite_difference(self):
+        # the grid point 5e-324 lies inside a subnormal entropy step, where
+        # np.interp's slope overflows; the sign change at 2/3 still counts
+        a = [(0.0, 0.0), (1.0, 0.25), (5e-324, 0.0)]
+        b = [(0.0, 0.25), (0.5, 0.25), (1.0, 0.0), (2.2250738585e-313, 0.0)]
+        assert crossing_point(a, b).h_nats == pytest.approx(2.0 / 3.0, abs=1e-12)
+
     def test_accepts_sweep_records(self):
         recs_a = variance_sweep(
             StateFamily.UNIFORM, [1, 2, 4, 8, 16, 32, 64], dim=64,
@@ -444,6 +511,8 @@ def _reference_crossing(sweep_a, sweep_b):
     grid = np.union1d(np.linspace(lo, hi, 2049), np.concatenate([xa, xb]))
     grid = grid[(grid >= lo) & (grid <= hi)]
     diff = np.interp(grid, xa, fa) - np.interp(grid, xb, fb)
+    keep = np.isfinite(diff)
+    grid, diff = grid[keep], diff[keep]
     scale = max(np.abs(ya).max(), np.abs(yb).max(), 1e-300)
     sign = np.sign(np.where(np.abs(diff) <= 1e-12 * scale, 0.0, diff))
     crossings = []
@@ -490,6 +559,10 @@ _SWEEPS = st.lists(st.tuples(_ENTROPIES, _VARIANCES), min_size=2, max_size=12)
 class TestCrossingScan:
     @settings(deadline=None, max_examples=500)
     @given(sweep_a=_SWEEPS, sweep_b=_SWEEPS)
+    # np.interp over the subnormal entropy steps gives an infinite difference
+    # at the grid point 5e-324; both scans skip it and cross at 2/3
+    @example(sweep_a=[(0.0, 0.0), (1.0, 0.25), (5e-324, 0.0)],
+             sweep_b=[(0.0, 0.25), (0.5, 0.25), (1.0, 0.0), (2.2250738585e-313, 0.0)])
     def test_matches_the_python_scan(self, sweep_a, sweep_b):
         def ours(a, b):
             cp = crossing_point(a, b)
@@ -499,6 +572,16 @@ class TestCrossingScan:
 
 
 class TestConcentration:
+    @pytest.mark.parametrize("trials, n", [(2, 2), (11, 7), (10_000, 32)])
+    def test_equals_the_integer_sign_formula(self, trials, n):
+        # reference: integer signs from integers(0, 2), np.mean and np.std
+        p = np.random.default_rng(n).dirichlet(np.ones(n))
+        signs = job_rng(94).integers(0, 2, size=(trials, n)) * 2 - 1
+        sq = (signs @ p) ** 2
+        verdict = concentration_check(p, trials=trials, seed=94)
+        assert verdict.estimate == float(np.mean(sq))
+        assert verdict.stderr == float(np.std(sq, ddof=1) / math.sqrt(trials))
+
     def test_delta_equality(self):
         verdict = concentration_check([1.0, 0.0, 0.0, 0.0], trials=100, seed=90)
         assert verdict.estimate == pytest.approx(1.0, abs=1e-15)

@@ -180,9 +180,9 @@ def test_a_norm_outside_vectors_is_reported():
     source = (
         "import numpy as np\n"
         "from numpy.linalg import norm, qr\n"
-        "from .vectors import _norm\n"
+        "from .vectors import _unit_rows\n"
         "def f(m):\n"
-        "    return np.linalg.norm(m, axis=1) + _norm(m, axis=1) + np.dot(m, m)\n"
+        "    return np.linalg.norm(m, axis=1) + _unit_rows(m)[1] + np.dot(m, m)\n"
     )
     assert norm_calls(source) == ["line 2: numpy.linalg.norm", "line 5: np.linalg.norm"]
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qstacker import HadamardJob, MatMulConfig, derive_seed, encode, job_rng, matmul, sample_hadamard
-from qstacker.seeding import job_binomial, splitmix64
+from qstacker.seeding import job_binomial, random_signs, rekeyed_rng, splitmix64
 
 seeds = st.integers(min_value=0, max_value=(1 << 64) - 1)
 shot_counts = st.sampled_from([1, 2, 1024, 1 << 20]) | st.integers(min_value=1, max_value=1 << 40)
@@ -58,6 +58,82 @@ class TestJobBinomial:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert out == serial
+
+
+def _draws(rng):
+    """A mix of word and half-word draws, with NumPy's binomial setup cache in between."""
+    return (rng.bit_generator.random_raw(3).tolist(), rng.binomial(1024, 0.3, size=5).tolist(),
+            rng.integers(0, 7, size=3).tolist(), rng.normal(size=2).tolist(), int(rng.binomial(9, 0.5)))
+
+
+class TestRekeyedRng:
+    @settings(deadline=None)
+    @given(st.lists(seeds, min_size=1, max_size=20))
+    def test_interleaved_seeds_match_fresh_generators(self, keys):
+        assert [_draws(rekeyed_rng(seed, "test")) for seed in keys] == [_draws(job_rng(seed)) for seed in keys]
+
+    @settings(deadline=None)
+    @given(seed_a=seeds, seed_b=seeds)
+    def test_two_live_streams_are_two_objects(self, seed_a, seed_b):
+        a = rekeyed_rng(seed_a, "test_a")
+        b = rekeyed_rng(seed_b, "test_b")
+        assert a is not b
+        fresh_a, fresh_b = job_rng(seed_a), job_rng(seed_b)
+        for _ in range(3):  # alternate draws: neither stream disturbs the other
+            assert _draws(a) == _draws(fresh_a)
+            assert _draws(b) == _draws(fresh_b)
+
+    def test_same_name_resets_the_same_object(self):
+        a = rekeyed_rng(5, "test")
+        first = a.bit_generator.random_raw(4).tolist()
+        assert rekeyed_rng(5, "test") is a
+        assert a.bit_generator.random_raw(4).tolist() == first
+
+    def test_threads_match_serial(self):
+        keys = [derive_seed(6, k) for k in range(400)]
+        serial = [_draws(job_rng(seed)) for seed in keys]
+        workers = 4  # more threads than cores, all on the same stream name
+        out = [None] * len(keys)
+
+        def run(part):
+            for k in range(part, len(keys), workers):
+                out[k] = _draws(rekeyed_rng(keys[k], "test"))
+
+        threads = [threading.Thread(target=run, args=(p,)) for p in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert out == serial
+
+
+shapes = st.lists(st.integers(0, 40), min_size=1, max_size=3).map(tuple)
+
+
+class TestRandomSigns:
+    @settings(deadline=None, max_examples=300)
+    @given(seed=seeds, shape=shapes, shots=shot_counts, p0=probabilities)
+    def test_equals_integers_and_the_binomials_that_follow(self, seed, shape, shots, p0):
+        raw, ints = job_rng(seed), job_rng(seed)
+        signs = random_signs(raw, shape)
+        want = ints.integers(0, 2, size=shape) * 2 - 1
+        assert signs.dtype == np.float64 and signs.shape == want.shape
+        assert np.array_equal(signs, want)
+        # an odd size leaves integers a buffered half that whole-word draws never read
+        assert raw.binomial(shots, p0, size=7).tolist() == ints.binomial(shots, p0, size=7).tolist()
+
+    @pytest.mark.parametrize("shape", [(500, 64), (11, 7), (1, 1), (3,), (10_000, 32)])
+    def test_rekeyed_generators_give_the_same_signs(self, shape):
+        for k in range(20):
+            seed = derive_seed(8, k)
+            want = job_rng(seed).integers(0, 2, size=shape) * 2 - 1
+            assert np.array_equal(random_signs(rekeyed_rng(seed, "test"), shape), want)
 
 
 class TestDeriveSeedArrays:

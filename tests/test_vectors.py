@@ -15,7 +15,19 @@ from qstacker.matio import (
     write_matrix_csv,
 )
 from qstacker.matmul import _prepare
-from qstacker.vectors import _norm, prepare_all
+from qstacker.vectors import _unit_rows, prepare_all
+
+
+def _norms(triple):
+    """The norms of a _unit_rows triple: mantissa * 2**exponent, inf past float64's range."""
+    _, mant, exp = triple
+    with np.errstate(over="ignore"):
+        return np.ldexp(mant, exp)
+
+
+def _col_norms(b):
+    """B's column norms as matmul's _prepare takes them: rows of B transposed."""
+    return _norms(_prepare(np.ones((1, b.shape[0])), b)[1])
 
 
 class TestEncode:
@@ -73,10 +85,10 @@ class TestNorms:
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_extreme_magnitudes_share_one_rule(self, scale):
         m = np.array([[3.0, 4.0], [0.0, 0.0]]) * scale
-        norms = _norm(m, axis=1)
+        norms = _norms(_unit_rows(m))
         assert norms[0] == pytest.approx(5.0 * scale, rel=1e-15, abs=0.0)
         assert norms[1] == 0.0
-        assert np.array_equal(_norm(m.T, axis=0), norms)
+        assert np.array_equal(_col_norms(m.T), norms)
         assert encode(m[0]).source_norm == norms[0]
         assert np.allclose(encode(m[0]).amplitudes, [0.6, 0.8], atol=1e-15)
 
@@ -85,32 +97,32 @@ class TestNorms:
         rng = np.random.default_rng(9)
         m = rng.normal(size=(6, 64)) * 10.0 ** rng.integers(-150, 150, size=(6, 1))
         rows = np.linalg.norm(m, axis=1)
-        assert np.array_equal(_norm(m, axis=1), rows)
+        assert np.array_equal(_norms(_unit_rows(m)), rows)
         for t in (m, m.T, np.ascontiguousarray(m.T)):  # strided and contiguous columns
-            assert np.array_equal(_norm(t, axis=0), np.linalg.norm(np.ascontiguousarray(t.T), axis=1))
+            assert np.array_equal(_col_norms(t), np.linalg.norm(np.ascontiguousarray(t.T), axis=1))
         for row, norm in zip(m, rows):
             assert encode(row).source_norm == norm
 
     def test_a_norm_past_the_float_range_reads_inf(self):
         # encode's rule: inf with no overflow warning, which the suite turns into an error
         m = np.array([[1.5e308, 1.5e308]])
-        assert _norm(m, axis=1)[0] == math.inf
-        assert _norm(m.T, axis=0)[0] == math.inf
+        assert _norms(_unit_rows(m))[0] == math.inf
+        assert _col_norms(m.T)[0] == math.inf
         assert encode(m[0]).source_norm == math.inf
 
     def test_identity_rows(self):
-        assert np.array_equal(_norm(np.eye(2), axis=1), [1, 1])
+        assert np.array_equal(_norms(_unit_rows(np.eye(2))), [1, 1])
 
     def test_zero_row(self):
-        assert np.array_equal(_norm(np.array([[3.0, 4.0], [0.0, 0.0]]), axis=1), [5, 0])
+        assert np.array_equal(_norms(_unit_rows(np.array([[3.0, 4.0], [0.0, 0.0]]))), [5, 0])
 
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(8)
         m = rng.normal(size=(8, 8))
         expected_rows = [math.sqrt(sum(x * x for x in m[i, :])) for i in range(8)]
         expected_cols = [math.sqrt(sum(x * x for x in m[:, j])) for j in range(8)]
-        assert np.allclose(_norm(m, axis=1), expected_rows, atol=1e-12)
-        assert np.allclose(_norm(m, axis=0), expected_cols, atol=1e-12)
+        assert np.allclose(_norms(_unit_rows(m)), expected_rows, atol=1e-12)
+        assert np.allclose(_col_norms(m), expected_cols, atol=1e-12)
 
 
 class TestPrepareAll:
