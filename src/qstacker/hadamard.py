@@ -27,6 +27,7 @@ from .seeding import job_binomial
 from .vectors import EncodedState
 
 MAX_VERIFY_QUBITS = 10  # data qubits; the explicit circuit adds one ancilla
+_EXACT_FLOAT = 1 << 53  # every integer up to here is a float64
 
 
 @dataclass(frozen=True)
@@ -45,12 +46,15 @@ class HadamardJob:
 
 def analytic_overlap(psi: EncodedState, phi: EncodedState) -> float:
     """Exact real overlap <psi|phi>, clamped to [-1, 1] against rounding."""
-    if psi.dim != phi.dim:
-        raise ShapeMismatch(f"{psi.dim} != {phi.dim}")
-    if psi.is_zero or phi.is_zero:
+    # one call per live element: plain attributes and ndarray.dot, whose
+    # bits equal np.dot's without its dispatch (x @ y turns -0.0 into +0.0)
+    x, y = psi.amplitudes, phi.amplitudes
+    if x.shape[0] != y.shape[0]:
+        raise ShapeMismatch(f"{x.shape[0]} != {y.shape[0]}")
+    if psi.source_norm == 0.0 or phi.source_norm == 0.0:
         raise ZeroState("overlap undefined for the zero-vector sentinel")
     # min/max gives np.clip's float, NaN and -0.0 included, at a fraction of its cost
-    return min(max(float(np.dot(psi.amplitudes, phi.amplitudes)), -1.0), 1.0)
+    return min(max(float(x.dot(y)), -1.0), 1.0)
 
 
 def sample_hadamard(job: HadamardJob) -> int:
@@ -66,7 +70,16 @@ def sample_hadamard(job: HadamardJob) -> int:
 
 def estimate(count0, shots: int):
     """z_hat = P(0) - P(1) = (2 count0 - S)/S for an int or an integer array of
-    counts; the numerator is exact, so both round once and agree bit for bit."""
+    counts, rounded once from the exact quotient, so both forms agree bit for bit.
+
+    An int divides as Python ints, which round once. An array divides in
+    int64 and float64 while S <= 2**53, where the numerator and S are exact
+    floats; above that float64 would round both before dividing, so each
+    count is divided as a Python int.
+    """
+    if shots > _EXACT_FLOAT and isinstance(count0, np.ndarray):
+        z = [(2 * c - shots) / shots for c in count0.ravel().tolist()]
+        return np.array(z, dtype=np.float64).reshape(count0.shape)
     return (2 * count0 - shots) / shots
 
 

@@ -82,33 +82,21 @@ def _prepare(a, b):
 def _sample(a_rows, b_cols, cfg: MatMulConfig):
     """(z_hat, true_overlap, plan), estimated one job per live element."""
     (_, a_mant, _), (_, b_mant, _) = a_rows, b_cols
-    rows, cols = len(a_mant), len(b_mant)
+    z_hat = np.zeros((len(a_mant), len(b_mant)))
+    true_overlap = np.zeros_like(z_hat)
     row_states, col_states = prepare_all(a_rows, b_cols)
-    seeds = derive_seed(
-        cfg.seed, np.arange(rows, dtype=np.uint64)[:, None], np.arange(cols, dtype=np.uint64)
-    ).tolist()
-    live = [
-        (i, j)
-        for i in range(rows)
-        for j in range(cols)
-        if a_mant[i] != 0.0 and b_mant[j] != 0.0
-    ]
+    live_i, live_j = np.nonzero(np.outer(a_mant != 0.0, b_mant != 0.0))  # job ids in row-major order
+    seeds = derive_seed(cfg.seed, live_i.astype(np.uint64), live_j.astype(np.uint64)).tolist()
     jobs = [
-        HadamardJob(
-            psi=row_states[i],
-            phi=col_states[j],
-            shots=cfg.shots,
-            seed=seeds[i][j],
-        )
-        for i, j in live
+        HadamardJob(psi=row_states[i], phi=col_states[j], shots=cfg.shots, seed=seed)
+        for i, j, seed in zip(live_i.tolist(), live_j.tolist(), seeds)
     ]
-    the_plan = plan_jobs(len(jobs), cols, a_rows[0].shape[1], cfg.pattern, cfg.qubit_budget)
+    the_plan = plan_jobs(len(jobs), len(b_mant), a_rows[0].shape[1], cfg.pattern, cfg.qubit_budget)
     counts = execute_plan(the_plan, jobs)
-    z_hat = np.zeros((rows, cols))
-    true_overlap = np.zeros((rows, cols))
-    for (i, j), count0, job in zip(live, counts, jobs):
-        z_hat[i, j] = estimate(count0, cfg.shots)
-        true_overlap[i, j] = analytic_overlap(job.psi, job.phi)
+    z_hat[live_i, live_j] = estimate(np.array(counts, dtype=np.int64), cfg.shots)
+    true_overlap[live_i, live_j] = np.fromiter(
+        (analytic_overlap(job.psi, job.phi) for job in jobs), np.float64, len(jobs)
+    )
     return z_hat, true_overlap, the_plan
 
 

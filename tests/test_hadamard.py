@@ -153,14 +153,22 @@ class TestEstimate:
             count0 = int(rng.integers(0, shots + 1))
             assert estimate(count0, shots) == pytest.approx(2 * count0 / shots - 1, abs=1e-15)
 
-    @pytest.mark.parametrize("shots", [1, 3, 1000, 12345])
+    @pytest.mark.parametrize("shots", [1, 3, 1000, 12345, (1 << 53) + 1, (1 << 62) + 5, (1 << 63) - 1])
     def test_rounded_once_for_ints_and_arrays(self, shots):
-        exact = [float(Fraction(2 * count0 - shots, shots)) for count0 in range(shots + 1)]
-        ints = [estimate(count0, shots) for count0 in range(shots + 1)]
-        array = estimate(np.arange(shots + 1), shots)
+        if shots < 1 << 53:
+            counts = list(range(shots + 1))
+        else:  # past 2**53 neither S nor most counts are floats: drawn counts and both ends
+            rng = np.random.default_rng(shots % 997)
+            drawn = [rng.binomial(shots, p0, size=500) for p0 in (0.1, 0.5, 0.9, 1.0 - 1e-12)]
+            counts = [0, shots, *np.concatenate(drawn).tolist()]
+        exact = [float(Fraction(2 * count0 - shots, shots)) for count0 in counts]
+        ints = [estimate(count0, shots) for count0 in counts]
+        array = estimate(np.array(counts, dtype=np.int64), shots)
         assert all(type(z) is float for z in ints)
-        assert struct.pack(f"<{shots + 1}d", *ints) == struct.pack(f"<{shots + 1}d", *exact)
+        assert struct.pack(f"<{len(counts)}d", *ints) == struct.pack(f"<{len(counts)}d", *exact)
         assert array.dtype == np.float64 and array.tobytes() == np.array(exact).tobytes()
+        column = estimate(np.array(counts, dtype=np.int64)[:, None], shots)
+        assert column.shape == (len(counts), 1) and column.tobytes() == array.tobytes()
 
     def test_unbiasedness(self):
         rng = np.random.default_rng(10)

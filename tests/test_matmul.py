@@ -11,10 +11,20 @@ from conftest import triple_loop
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qstacker import MatMulConfig, StackingPattern, encode, error_budget, matmul
+from qstacker import (
+    MatMulConfig,
+    StackingPattern,
+    analytic_overlap,
+    derive_seed,
+    encode,
+    error_budget,
+    estimate,
+    matmul,
+)
 from qstacker.cli import summary_dict, write_result_csv, write_summary_json
 from qstacker.errors import InvalidArgument, NonFiniteInput, ShapeMismatch
 from qstacker.matio import read_matrix_csv, write_matrix_csv
+from qstacker.seeding import job_binomial
 from qstacker.stacking import qubits_per_test
 
 
@@ -231,6 +241,41 @@ class TestLeadingSubBlockProperty:
         assert block.norm_products.tobytes() == full.norm_products[:r, :c].tobytes()
 
 
+class TestPerElementReference:
+    # the engine against its own definition, element by element: seed from
+    # (seed, i, j), one Binomial(S, (1 + mu)/2) count, the scalar estimate and
+    # C_ij = ||A_i|| ||B_j|| z_hat_ij, at shot counts up to int64's limit
+    @settings(deadline=None, max_examples=150)
+    @given(
+        rows=st.integers(1, 5),
+        inner=st.integers(1, 8),
+        cols=st.integers(1, 5),
+        shots=st.sampled_from([1, 2, 1024, 1 << 20, (1 << 53) + 1, (1 << 63) - 1]),
+        seed=st.integers(0, (1 << 64) - 1),
+        data=st.data(),
+    )
+    def test_sampled_product_equals_the_per_element_reference(self, rows, inner, cols, shots, seed, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, (1 << 32) - 1), label="values"))
+        a = rng.normal(size=(rows, inner))
+        b = rng.normal(size=(inner, cols))
+        a[data.draw(st.lists(st.integers(0, rows - 1), unique=True), label="zero rows")] = 0.0
+        b[:, data.draw(st.lists(st.integers(0, cols - 1), unique=True), label="zero cols")] = 0.0
+        want_z, want_mu, want_c = np.zeros((3, rows, cols))
+        row_states, col_states = [encode(v) for v in a], [encode(v) for v in b.T]
+        for i, psi in enumerate(row_states):
+            for j, phi in enumerate(col_states):
+                if psi.is_zero or phi.is_zero:
+                    continue
+                want_mu[i, j] = analytic_overlap(psi, phi)
+                count0 = job_binomial(derive_seed(seed, i, j), shots, (1.0 + want_mu[i, j]) / 2.0)
+                want_z[i, j] = estimate(count0, shots)
+                want_c[i, j] = psi.source_norm * phi.source_norm * want_z[i, j]
+        r = matmul(a, b, MatMulConfig(shots=shots, seed=seed))
+        assert r.z_hat.tobytes() == want_z.tobytes()
+        assert r.true_overlap.tobytes() == want_mu.tobytes()
+        assert r.c.tobytes() == want_c.tobytes()
+
+
 class TestGoldenStream:
     # a 5x7 . 7x6 product with a zero row (A[3]), a zero column (B[:, 4]) and
     # planted overlaps +1 at (0, 1) and -1 at (2, 2); the hashes pin the
@@ -248,6 +293,9 @@ class TestGoldenStream:
                   [3., -2., -2., 1., 0., -3.],
                   [0., 1., 2., -2., 0., 1.]])
 
+    # the exact overlaps do not depend on S
+    TRUE_OVERLAP_SHA = "d5b31fedb481b5cc5382feceef35b7f66df70e009cf92c447d46261052fa732d"
+
     @pytest.mark.parametrize("shots, c_sha, z_sha", [
         (1, "b401dda12bbfa37d32c439509cb46d8dde3f09f97c308c544b9515b52bf45ac8",
          "4dca6d3dfd6b21dacb974f3dc727348f2b080291f3624acd4a1441f2888caf04"),
@@ -263,6 +311,7 @@ class TestGoldenStream:
         assert not r.c[3].any() and not r.c[:, 4].any()
         assert hashlib.sha256(r.c.tobytes()).hexdigest() == c_sha
         assert hashlib.sha256(r.z_hat.tobytes()).hexdigest() == z_sha
+        assert hashlib.sha256(r.true_overlap.tobytes()).hexdigest() == self.TRUE_OVERLAP_SHA
 
 
 class TestExtremeMagnitudes:

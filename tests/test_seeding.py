@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qstacker import HadamardJob, MatMulConfig, derive_seed, encode, job_rng, matmul, sample_hadamard
-from qstacker.seeding import job_binomial, random_signs, rekeyed_rng, splitmix64
+from qstacker.seeding import _streams, job_binomial, random_signs, rekeyed_rng, splitmix64
 
 seeds = st.integers(min_value=0, max_value=(1 << 64) - 1)
 shot_counts = st.sampled_from([1, 2, 1024, 1 << 20]) | st.integers(min_value=1, max_value=1 << 40)
@@ -66,6 +66,15 @@ def _draws(rng):
             rng.integers(0, 7, size=3).tolist(), rng.normal(size=2).tolist(), int(rng.binomial(9, 0.5)))
 
 
+def _leaves(state, path=()):
+    """(path of field names, value) for each leaf of a nested state dict."""
+    if isinstance(state, dict):
+        for name, value in state.items():
+            yield from _leaves(value, (*path, name))
+    else:
+        yield path, state
+
+
 class TestRekeyedRng:
     @settings(deadline=None)
     @given(st.lists(seeds, min_size=1, max_size=20))
@@ -88,6 +97,16 @@ class TestRekeyedRng:
         first = a.bit_generator.random_raw(4).tolist()
         assert rekeyed_rng(5, "test") is a
         assert a.bit_generator.random_raw(4).tolist() == first
+
+    def test_reset_state_is_a_fresh_philox_state_in_python_ints(self):
+        # a state field numpy adds must show here, not stay un-reset
+        rekeyed_rng(0, "test")
+        kept, fresh = dict(_leaves(_streams.test[2])), dict(_leaves(np.random.Philox(key=0).state))
+        assert list(kept) == list(fresh)
+        for path, value in kept.items():
+            assert np.array_equal(np.asarray(value), np.asarray(fresh[path])), path
+            if isinstance(fresh[path], np.ndarray):
+                assert type(value) is list and all(type(v) is int for v in value), path
 
     def test_threads_match_serial(self):
         keys = [derive_seed(6, k) for k in range(400)]
