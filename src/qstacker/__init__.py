@@ -18,6 +18,7 @@ from .entropy import (
     entropy,
     generate_state,
     pearson,
+    sweep_levels,
     variance_band,
     variance_sweep,
 )

@@ -26,10 +26,11 @@ from .entropy import (
     SweepPairing,
     correlation_summary,
     crossing_point,
+    sweep_levels,
     variance_sweep,
 )
 from .matmul import MatMulConfig, MatMulResult, error_budget, matmul as run_matmul
-from .errors import InvalidArgument, NoCrossing, QStackerError, as_enum, as_int
+from .errors import InvalidArgument, NoCrossing, QStackerError, as_enum
 from .seeding import derive_seed
 
 EXIT_OK = 0
@@ -94,16 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the built-in verification suite")
     _add_common(p, out=False)
     return parser
-
-
-def _sweep_levels(family: StateFamily, count: int, dim: int):
-    count = as_int(count, "levels", minimum=3)  # each family's correlation needs three points
-    dim = as_int(dim, "dim", minimum=1)  # generate_state refuses dim 1 with InvalidArgument
-    if family is StateFamily.INTERPOLATED:
-        return list(np.linspace(0.0, 1.0, count))
-    if family in (StateFamily.UNIFORM, StateFamily.EXPONENTIAL, StateFamily.CHI_SQUARE):
-        return [max(1, int(round(v))) for v in np.geomspace(1, dim, count)]
-    return [dim] * count  # normal: fixed full support, entropy varies by draw
 
 
 def to_json(doc, indent=None) -> str:
@@ -268,7 +259,7 @@ def cmd_entropy_sweep(args) -> int:
     for k, family in enumerate(families):
         sweeps[family.value] = variance_sweep(
             family,
-            _sweep_levels(family, args.levels, args.dim),
+            sweep_levels(family, args.levels, args.dim),
             dim=args.dim,
             shots=args.shots,
             repetitions=args.reps,
@@ -310,19 +301,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """Every criterion of checks.CRITERIA, in order, at its verify defaults."""
     seed = _seed(args)
-    # acceptance criteria 1, 2, 3, 5 and 7 with their acceptance bounds; the
-    # entropy check samples 2000 distributions per family (acceptance: 20000)
-    battery = (
-        ("circuit fidelity", lambda: checks.circuit_fidelity(seed)),
-        ("estimator law", lambda: checks.estimator_law(seed)),
-        ("exact-mode matmul", lambda: checks.exact_matmul(seed, np.matmul)),
-        ("pattern invariance", lambda: checks.pattern_invariance(seed)),
-        ("purity/Renyi inequality", lambda: checks.entropy_inequalities(seed, 2000)),
-    )
     failures = 0
-    for name, check in battery:
-        ok, detail = check()
+    for number, (name, _) in checks.CRITERIA.items():
+        ok, detail = checks.run(number, seed)
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         failures += 0 if ok else 1
     if failures:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ConstantSeries, InvalidArgument, InvalidDistribution, NoCrossing, as_enum, as_int
 from .hadamard import estimate
-from .seeding import derive_seed, random_signs, rekeyed_rng
+from .seeding import MAX_SHOTS, derive_seed, random_signs, rekeyed_rng
 from .vectors import EncodedState
 
 LN2 = math.log(2.0)
@@ -226,6 +226,19 @@ def _var(x: np.ndarray) -> float:
     return float(np.add.reduce(dev) / (x.size - 1))
 
 
+def sweep_levels(family: StateFamily, count: int, dim: int) -> list:
+    """variance_sweep's levels: t in [0, 1] for interpolated, support sizes 1..dim
+    spaced geometrically for uniform, exponential and chisquare."""
+    family = as_enum(StateFamily, family, "family")
+    count = as_int(count, "levels", minimum=3)  # each family's correlation needs three points
+    dim = as_int(dim, "dim", minimum=1)  # generate_state refuses dim 1 with InvalidArgument
+    if family is StateFamily.INTERPOLATED:
+        return list(np.linspace(0.0, 1.0, count))
+    if family is StateFamily.NORMAL:
+        return [dim] * count  # fixed full support, entropy varies by draw
+    return [max(1, int(round(v))) for v in np.geomspace(1, dim, count)]
+
+
 def variance_sweep(
     family: StateFamily,
     levels,
@@ -246,7 +259,7 @@ def variance_sweep(
     """
     family = as_enum(StateFamily, family, "family")
     pairing = as_enum(SweepPairing, pairing, "pairing")
-    shots = as_int(shots, "shots", minimum=1)
+    shots = as_int(shots, "shots", minimum=1, maximum=MAX_SHOTS)
     repetitions = as_int(repetitions, "repetitions", minimum=2)
     records = []
     for j, level in enumerate(levels):
@@ -364,6 +377,11 @@ def pearson(xs, ys) -> CorrelationStats:
         raise InvalidArgument(f"need at least 3 points, got {m}")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise InvalidArgument("xs and ys must be finite")
+    # r does not depend on scale: dividing each series exactly by the power of
+    # two of its largest magnitude (as vectors._unit_rows does) keeps its sum
+    # of squares from underflowing or overflowing
+    _, exp = np.frexp([np.abs(x).max(), np.abs(y).max()])
+    x, y = np.ldexp(np.stack([x, y]), -exp[:, None])
     xc = x - x.mean()
     yc = y - y.mean()
     sx = float(np.sqrt(np.sum(xc**2)))

@@ -19,8 +19,9 @@ class InvalidArgument(QStackerError, ValueError):
     series length), an option name, an epsilon, an entropy or a support."""
 
 
-def as_int(value, name: str, minimum: int | None = None) -> int:
-    """value as a Python int (NumPy integers included), at least minimum if given.
+def as_int(value, name: str, minimum: int | None = None, maximum: int | None = None) -> int:
+    """value as a Python int (NumPy integers included), within minimum and
+    maximum where given.
 
     Floats and strings are refused rather than truncated or parsed; anything
     refused raises InvalidArgument.
@@ -31,6 +32,8 @@ def as_int(value, name: str, minimum: int | None = None) -> int:
         raise InvalidArgument(f"{name} must be an integer, got {value!r}") from None
     if minimum is not None and number < minimum:
         raise InvalidArgument(f"{name} must be >= {minimum}, got {number}")
+    if maximum is not None and number > maximum:
+        raise InvalidArgument(f"{name} must be <= {maximum}, got {number}")
     return number
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch, ZeroState, as_int
-from .seeding import job_binomial
+from .seeding import MAX_SHOTS, job_binomial
 from .vectors import EncodedState
 
 MAX_VERIFY_QUBITS = 10  # data qubits; the explicit circuit adds one ancilla
@@ -41,7 +41,7 @@ class HadamardJob:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "shots", as_int(self.shots, "shots", minimum=1))
+        object.__setattr__(self, "shots", as_int(self.shots, "shots", minimum=1, maximum=MAX_SHOTS))
 
 
 def analytic_overlap(psi: EncodedState, phi: EncodedState) -> float:

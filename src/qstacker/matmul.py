@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ShapeMismatch, as_enum, as_int
 from .hadamard import HadamardJob, analytic_overlap, estimate
-from .seeding import derive_seed
+from .seeding import MAX_SHOTS, derive_seed
 from .stacking import StackingPattern, StackingPlan, execute_plan, plan_jobs
 from .vectors import _unit_rows, as_matrix, prepare_all
 
@@ -42,7 +42,7 @@ class MatMulConfig:
     qubit_budget: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "shots", as_int(self.shots, "shots", minimum=1))
+        object.__setattr__(self, "shots", as_int(self.shots, "shots", minimum=1, maximum=MAX_SHOTS))
         object.__setattr__(self, "seed", as_int(self.seed, "seed"))
         object.__setattr__(self, "pattern", as_enum(StackingPattern, self.pattern, "pattern"))
         budget = UNBOUNDED_BUDGET if self.qubit_budget is None else self.qubit_budget

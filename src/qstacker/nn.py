@@ -22,7 +22,7 @@ import numpy as np
 from .errors import EmptyDataset, InvalidArgument, ParseError, ShapeMismatch, as_enum, as_int
 from .matio import read_idx, read_lines
 from .matmul import MatMulConfig, matmul
-from .seeding import derive_seed, job_rng
+from .seeding import MAX_SHOTS, derive_seed, job_rng
 from .vectors import _finite
 
 
@@ -64,8 +64,9 @@ class TrainConfig:
     forward_mode: ForwardMode = QUANTUM
 
     def __post_init__(self):
-        for name in ("batch_size", "epochs", "shots"):
+        for name in ("batch_size", "epochs"):
             object.__setattr__(self, name, as_int(getattr(self, name), name, minimum=1))
+        object.__setattr__(self, "shots", as_int(self.shots, "shots", minimum=1, maximum=MAX_SHOTS))
         object.__setattr__(self, "seed", as_int(self.seed, "seed"))
         _check_learning_rate(self.learning_rate)
         mode = as_enum(ForwardMode, self.forward_mode, "forward_mode")

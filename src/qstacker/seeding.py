@@ -31,6 +31,7 @@ import numpy as np
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _INIT = 0x243F6A8885A308D3  # pi fractional bits, arbitrary nonzero start
+MAX_SHOTS = (1 << 63) - 1  # NumPy's binomial takes its trial count as a C long
 
 
 def splitmix64(x: int | np.ndarray) -> int | np.ndarray:

@@ -329,7 +329,9 @@ class TestStrictJson:
 
 
 ACCEPTANCE_NAMES = ["circuit fidelity", "estimator law", "exact-mode matmul",
-                    "pattern invariance", "purity/Renyi inequality"]
+                    "sampled matmul bound", "pattern invariance", "planner formulas",
+                    "purity/Renyi inequality", "entropy dividend direction", "dividend bound",
+                    "concentration check", "crossing point", "gradient check"]
 
 
 class TestVerifyCommand:
@@ -347,7 +349,7 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert code == 4
         assert "FAIL pattern invariance: planted" in out.splitlines()
-        assert out.count("PASS ") == 4
+        assert out.count("PASS ") == 11
 
 
 class TestExitCodes:
@@ -373,6 +375,20 @@ class TestExitCodes:
         code = main(["matmul", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv")])
         assert code == 3
         assert capsys.readouterr().err.startswith("data error: ")
+
+    @pytest.mark.parametrize("command", ["matmul", "entropy-sweep"])
+    def test_shots_past_the_binomial_limit_exit_two(self, matrices, tmp_path, capsys, command):
+        _, _, pa, pb = matrices
+        argv = {"matmul": ["matmul", "--a", str(pa), "--b", str(pb)],
+                "entropy-sweep": ["entropy-sweep", "--levels", "3", "--dim", "8"]}[command]
+        assert main(argv + ["--shots", str(1 << 63), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("usage error: shots must be <= ")
+
+    def test_run_file_shots_past_the_binomial_limit_exit_three(self, tmp_path, iris_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"shape=4,4,3\nshots={1 << 63}\ndataset={iris_path}\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("data error: bad train config: shots must be <= ")
 
     def test_malformed_config_value_exits_three(self, tmp_path, iris_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -6,7 +6,7 @@ minimum, and gives the same output for a NumPy integer as for a Python int
 (compared by repr, so a NumPy integer stored unconverted shows up). Each name
 site refuses an unknown name and gives the same output for an enum member as
 for its value string (compared by repr, so a string stored unconverted shows
-up).
+up). Each shot count that feeds a binomial draw stops at seeding.MAX_SHOTS.
 """
 
 import numpy as np
@@ -32,10 +32,12 @@ from qstacker import (
     plan_jobs,
     sample_hadamard,
     split_dataset,
+    sweep_levels,
     variance_sweep,
 )
 from qstacker.cli import summary_dict
 from qstacker.errors import InvalidArgument, ShapeMismatch
+from qstacker.seeding import MAX_SHOTS
 
 SHAPE = NetworkShape(4, 4, 3)
 PSI = encode([0.6, 0.8])
@@ -82,6 +84,10 @@ SITES = [
     ("NetworkShape.outputs", lambda v, f: NetworkShape(4, 4, v), 3, 0, ShapeMismatch),
     ("variance_sweep.shots", lambda v, f: _sweep(shots=v), 64, 0, InvalidArgument),
     ("variance_sweep.repetitions", lambda v, f: _sweep(repetitions=v), 10, 1, InvalidArgument),
+    ("sweep_levels.count", lambda v, f: sweep_levels(StateFamily.UNIFORM, v, 8), 3, 2,
+     InvalidArgument),
+    ("sweep_levels.dim", lambda v, f: sweep_levels(StateFamily.UNIFORM, 3, v), 8, 0,
+     InvalidArgument),
     ("concentration_check.trials", lambda v, f: concentration_check([0.5, 0.5], v, 3), 20, 1,
      InvalidArgument),
     ("dividend_bound.shots", lambda v, f: dividend_bound(1.0, v), 100, 0, InvalidArgument),
@@ -124,6 +130,24 @@ class TestCountSites:
         assert repr(call(np.int64(good), mnist_idx_files)) == repr(call(good, mnist_idx_files))
 
 
+# (site, call that normalises a shot count feeding a binomial draw and returns it)
+SHOT_SITES = [
+    ("MatMulConfig.shots", lambda v: MatMulConfig(shots=v).shots),
+    ("HadamardJob.shots", lambda v: HadamardJob(PSI, PHI, shots=v, seed=3).shots),
+    ("TrainConfig.shots", lambda v: TrainConfig(SHAPE, shots=v).shots),
+    ("variance_sweep.shots", lambda v: _sweep(shots=v)[0].shots),
+]
+
+
+@pytest.mark.parametrize("call", [pytest.param(site[1], id=site[0]) for site in SHOT_SITES])
+def test_shots_stop_at_the_binomial_limit(call):
+    """NumPy's binomial takes its trial count as a C long: 2^63 - 1 is the last one."""
+    assert MAX_SHOTS == (1 << 63) - 1
+    assert call(MAX_SHOTS) == MAX_SHOTS
+    with pytest.raises(InvalidArgument, match=f"shots must be <= {MAX_SHOTS}, got {MAX_SHOTS + 1}"):
+        call(MAX_SHOTS + 1)
+
+
 # (site, call of a name value, a member it accepts)
 NAME_SITES = [
     ("MatMulConfig.pattern", lambda v: MatMulConfig(shots=64, seed=1, pattern=v),
@@ -135,6 +159,7 @@ NAME_SITES = [
      lambda v: variance_sweep(v, [2, 4], dim=8, shots=64, repetitions=10, seed=5),
      StateFamily.CHI_SQUARE),
     ("variance_sweep.pairing", lambda v: _sweep(pairing=v), SweepPairing.INDEPENDENT),
+    ("sweep_levels.family", lambda v: sweep_levels(v, 4, 8), StateFamily.NORMAL),
 ]
 
 

@@ -19,10 +19,11 @@ from qstacker import (
     entropy,
     generate_state,
     pearson,
+    sweep_levels,
     variance_band,
     variance_sweep,
 )
-from qstacker.cli import _sweep_levels, write_sweep_csv
+from qstacker.cli import write_sweep_csv
 from qstacker.entropy import LN2, _isotonic_decreasing, _mean, _t_two_tailed, _var, shannon_entropy
 from qstacker.errors import ConstantSeries, InvalidArgument, InvalidDistribution, NoCrossing
 from qstacker.seeding import job_rng
@@ -267,7 +268,7 @@ class TestVarianceSweep:
 
 
 # sha256 of repr([astuple(record) ...]) of variance_sweep at seed 2026 and
-# S = 8192, with cli._sweep_levels' levels (16 at dim 64, 6 at dim 7), keyed
+# S = 8192, with sweep_levels' levels (16 at dim 64, 6 at dim 7), keyed
 # by (dim, reps, family, pairing). Recorded before the sweep drew its signs
 # from raw Philox words and its generators were re-keyed: 500 x 64 is the
 # entropy-sweep-cli shape, and 11 x 7 signs are odd in number, so the old
@@ -300,7 +301,7 @@ SWEEP_STREAMS = {
 def test_sweep_streams_are_pinned(key):
     dim, reps, family, pairing = key
     fam = StateFamily(family)
-    records = variance_sweep(fam, _sweep_levels(fam, 16 if dim == 64 else 6, dim), dim=dim,
+    records = variance_sweep(fam, sweep_levels(fam, 16 if dim == 64 else 6, dim), dim=dim,
                              shots=8192, repetitions=reps, seed=2026, pairing=pairing)
     digest = hashlib.sha256(repr([dataclasses.astuple(r) for r in records]).encode()).hexdigest()
     assert digest == SWEEP_STREAMS[key]
@@ -352,6 +353,24 @@ class TestPearson:
             pearson([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
         with pytest.raises(InvalidArgument):  # NaN has no spread either
             pearson([1.0, 2.0, float("nan"), 4.0], [1.0, 3.0, 2.0, 5.0])
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_extreme_magnitudes(self, scale):
+        # unscaled, 1e-200's squares underflow to a "constant" series and
+        # 1e200's overflow
+        stats = pearson([1.0 * scale, 2.0 * scale, 3.0 * scale], [1.0, 3.0, 2.0])
+        assert stats.r == pytest.approx(0.5, abs=1e-15)
+        assert stats.p_value == pytest.approx(2.0 / 3.0, abs=1e-14)  # one dof: 2/pi atan(sqrt 3)
+
+    @settings(deadline=None, max_examples=300)
+    @given(k=st.integers(-1000, 1000), j=st.integers(-1000, 1000), m=st.integers(3, 60),
+           seed=st.integers(0, 2**32 - 1))
+    def test_power_of_two_scales_leave_r_and_p_bit_for_bit(self, k, j, m, seed):
+        rng = np.random.default_rng(seed)
+        # magnitudes in [1, 2), so x * 2^-1000 is still a normal float and
+        # each scaling is exact
+        x, y = rng.uniform(1.0, 2.0, size=(2, m)) * rng.choice([-1.0, 1.0], size=(2, m))
+        assert pearson(x * 2.0**k, y * 2.0**j) == pearson(x, y)
 
     def test_too_few_points(self):
         with pytest.raises(InvalidArgument, match="need at least 3 points, got 2"):

@@ -506,7 +506,8 @@ class TestRunConfig:
         with pytest.raises(ParseError, match=half.split("=")[0]):
             load_run(cfg_file)
 
-    @pytest.mark.parametrize("line", ["epochs=0", "mode=sampled", "limit=0", "batch=2.5"])
+    @pytest.mark.parametrize("line", ["epochs=0", "mode=sampled", "limit=0", "batch=2.5",
+                                      f"shots={1 << 63}"])
     def test_refused_value_is_a_parse_error(self, tmp_path, mnist_idx_files, line):
         images, labels = mnist_idx_files
         cfg_file = tmp_path / "run.cfg"
