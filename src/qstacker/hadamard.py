@@ -41,7 +41,9 @@ class HadamardJob:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "shots", as_int(self.shots, "shots", minimum=1, maximum=MAX_SHOTS))
+        # one job per live element: a plain int in range is kept without a call
+        if type(self.shots) is not int or not 1 <= self.shots <= MAX_SHOTS:
+            object.__setattr__(self, "shots", as_int(self.shots, "shots", minimum=1, maximum=MAX_SHOTS))
 
 
 def analytic_overlap(psi: EncodedState, phi: EncodedState) -> float:
@@ -53,8 +55,10 @@ def analytic_overlap(psi: EncodedState, phi: EncodedState) -> float:
         raise ShapeMismatch(f"{x.shape[0]} != {y.shape[0]}")
     if psi.source_norm == 0.0 or phi.source_norm == 0.0:
         raise ZeroState("overlap undefined for the zero-vector sentinel")
-    # min/max gives np.clip's float, NaN and -0.0 included, at a fraction of its cost
-    return min(max(float(x.dot(y)), -1.0), 1.0)
+    # min/max gives np.clip's float, NaN and -0.0 included, at a fraction of
+    # its cost; an overlap already in [-1, 1], the usual case, skips both calls
+    mu = float(x.dot(y))
+    return mu if -1.0 <= mu <= 1.0 else min(max(mu, -1.0), 1.0)
 
 
 def sample_hadamard(job: HadamardJob) -> int:

@@ -2,8 +2,9 @@
 
 matmul is _prepare, then _sample (exact mode skips it), then _reconstruct:
 
-  _prepare      validates both operands and normalizes each once: the unit
-                rows of A and of B transposed, norms as (mantissa, exponent).
+  _prepare      validates both operands and normalizes them in one pass over
+                A stacked on B transposed: the unit rows of each, norms as
+                (mantissa, exponent).
                 Exact mode takes z_hat = M = clip(A_hat @ B_hat) from them,
                 giving the classical product up to rounding.
   _sample       returns (z_hat, true_overlap, plan): one Hadamard-test job
@@ -18,6 +19,7 @@ Elements whose row or column norm is zero are exact zeros with no job.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -71,39 +73,40 @@ class MatMulResult:
 
 
 def _prepare(a, b):
-    """(A's rows, B's columns), each a vectors._unit_rows triple (unit, mant, exp)."""
+    """(A's rows, B's columns), each a vectors._unit_rows triple (unit, mant, exp),
+    from one _unit_rows pass over A stacked on B transposed, split at len(A)."""
     am = as_matrix(a)
     bm = as_matrix(b)
     if am.shape[1] != bm.shape[0]:
         raise ShapeMismatch(f"cannot multiply {am.shape} by {bm.shape}")
-    return _unit_rows(np.ascontiguousarray(am)), _unit_rows(np.ascontiguousarray(bm.T))
+    unit, mant, exp = _unit_rows(np.concatenate((am, bm.T)))
+    m = len(am)
+    return (unit[:m], mant[:m], exp[:m]), (unit[m:], mant[m:], exp[m:])
 
 
 def _sample(a_rows, b_cols, cfg: MatMulConfig):
     """(z_hat, true_overlap, plan), estimated one job per live element."""
     (_, a_mant, _), (_, b_mant, _) = a_rows, b_cols
     z_hat = np.zeros((len(a_mant), len(b_mant)))
-    true_overlap = np.zeros_like(z_hat)
+    true_overlap = np.zeros(z_hat.shape)
     row_states, col_states = prepare_all(a_rows, b_cols)
-    live_i, live_j = np.nonzero(np.outer(a_mant != 0.0, b_mant != 0.0))  # job ids in row-major order
+    live = (a_mant != 0.0)[:, None] & (b_mant != 0.0)
+    live_i, live_j = np.nonzero(live)  # job ids in row-major order
     seeds = derive_seed(cfg.seed, live_i.astype(np.uint64), live_j.astype(np.uint64)).tolist()
-    jobs = [
-        HadamardJob(psi=row_states[i], phi=col_states[j], shots=cfg.shots, seed=seed)
-        for i, j, seed in zip(live_i.tolist(), live_j.tolist(), seeds)
-    ]
+    psis = list(map(row_states.__getitem__, live_i.tolist()))
+    phis = list(map(col_states.__getitem__, live_j.tolist()))
+    jobs = list(map(HadamardJob, psis, phis, repeat(cfg.shots), seeds))
     the_plan = plan_jobs(len(jobs), len(b_mant), a_rows[0].shape[1], cfg.pattern, cfg.qubit_budget)
     counts = execute_plan(the_plan, jobs)
-    z_hat[live_i, live_j] = estimate(np.array(counts, dtype=np.int64), cfg.shots)
-    true_overlap[live_i, live_j] = np.fromiter(
-        (analytic_overlap(job.psi, job.phi) for job in jobs), np.float64, len(jobs)
-    )
+    z_hat[live] = estimate(np.array(counts, dtype=np.int64), cfg.shots)
+    true_overlap[live] = np.fromiter(map(analytic_overlap, psis, phis), np.float64, len(jobs))
     return z_hat, true_overlap, the_plan
 
 
 def _reconstruct(z_hat, true_overlap, the_plan, a_rows, b_cols, cfg: MatMulConfig) -> MatMulResult:
     """The MatMulResult with C_ij = ||A_i|| * ||B_j|| * z_hat_ij, whose norms'
     exponents apply last, so C is finite wherever the classical product is."""
-    mant = np.outer(a_rows[1], b_cols[1])
+    mant = a_rows[1][:, None] * b_cols[1]
     exp = a_rows[2][:, None] + b_cols[2]
     with np.errstate(over="ignore"):  # inf only where the classical product overflows too
         c = np.ldexp(mant * z_hat, exp)
@@ -126,7 +129,8 @@ def matmul(a, b, cfg: MatMulConfig) -> MatMulResult:
     a_rows, b_cols = _prepare(a, b)
     if cfg.exact:
         # B's own layout: a transposed operand can change the product's bits
-        mu = np.clip(a_rows[0] @ np.ascontiguousarray(b_cols[0].T), -1.0, 1.0)
+        mu = a_rows[0] @ np.ascontiguousarray(b_cols[0].T)
+        np.minimum(np.maximum(mu, -1.0, out=mu), 1.0, out=mu)  # np.clip's bits, without its dispatch
         the_plan = plan_jobs(0, len(b_cols[1]), a_rows[0].shape[1], cfg.pattern, cfg.qubit_budget)
         return _reconstruct(mu, mu, the_plan, a_rows, b_cols, cfg)
     return _reconstruct(*_sample(a_rows, b_cols, cfg), a_rows, b_cols, cfg)

@@ -34,15 +34,34 @@ _INIT = 0x243F6A8885A308D3  # pi fractional bits, arbitrary nonzero start
 MAX_SHOTS = (1 << 63) - 1  # NumPy's binomial takes its trial count as a C long
 
 
+# splitmix64's constants as uint64 scalars, for the array form
+_GAMMA, _MIX1, _MIX2 = (np.uint64(c) for c in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
+_SHIFT30, _SHIFT27, _SHIFT31 = np.uint64(30), np.uint64(27), np.uint64(31)
+
+
 def splitmix64(x: int | np.ndarray) -> int | np.ndarray:
     """One splitmix64 step: well-mixed 64-bit output for a 64-bit input.
 
     Accepts a Python int or a uint64 array (elementwise, wrapping mod 2^64).
     """
+    if isinstance(x, np.ndarray):
+        return _splitmix64_into(x.copy())
     z = (x + 0x9E3779B97F4A7C15) & _MASK
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return (z ^ (z >> 31)) & _MASK
+
+
+def _splitmix64_into(z: np.ndarray) -> np.ndarray:
+    """splitmix64 of a uint64 array the caller owns, computed in place with
+    uint64 constants: array arithmetic wraps mod 2^64, so no step needs a mask."""
+    z += _GAMMA
+    z ^= z >> _SHIFT30
+    z *= _MIX1
+    z ^= z >> _SHIFT27
+    z *= _MIX2
+    z ^= z >> _SHIFT31
+    return z
 
 
 def derive_seed(master: int, *coords: int | np.ndarray) -> int | np.ndarray:
@@ -57,7 +76,10 @@ def derive_seed(master: int, *coords: int | np.ndarray) -> int | np.ndarray:
     """
     state = splitmix64((_INIT ^ (operator.index(master) & _MASK)) & _MASK)
     for c in coords:
-        state = splitmix64((state ^ (c & _MASK)) & _MASK)
+        if isinstance(state, np.ndarray) or isinstance(c, np.ndarray):
+            state = _splitmix64_into(np.bitwise_xor(state, c))  # xor's new array, not c
+        else:
+            state = splitmix64((state ^ (c & _MASK)) & _MASK)
     return state
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 from .errors import InvalidArgument, PlanJobMismatch, as_enum, as_int
 from .hadamard import HadamardJob, sample_hadamard
@@ -134,8 +135,8 @@ def execute_plan(p: StackingPlan, jobs: list) -> list:
     job-derived, so the buffer equals running each job alone."""
     if len(jobs) != p.total_jobs:
         raise PlanJobMismatch(f"plan holds {p.total_jobs} jobs, buffer has {len(jobs)}")
-    for job_id, job in enumerate(jobs):
-        if not isinstance(job, HadamardJob):
-            raise PlanJobMismatch(f"buffer entry {job_id} is not a HadamardJob")
-    return [sample_hadamard(job) for job in jobs]
+    if not all(map(isinstance, jobs, repeat(HadamardJob))):
+        job_id = next(k for k, job in enumerate(jobs) if not isinstance(job, HadamardJob))
+        raise PlanJobMismatch(f"buffer entry {job_id} is not a HadamardJob")
+    return list(map(sample_hadamard, jobs))
 

@@ -23,7 +23,7 @@ def _finite(v, ndim: int, kind: str) -> np.ndarray:
     arr = np.asarray(v, dtype=np.float64)
     if arr.ndim != ndim or arr.size < 1:
         raise ShapeMismatch(f"expected a {ndim}-D {kind}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteInput(f"{kind} contains NaN or Inf")
     return arr
 
@@ -50,6 +50,15 @@ class EncodedState:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
+    @classmethod
+    def _wrap(cls, amplitudes: np.ndarray, source_norm: float) -> EncodedState:
+        """A state over a read-only float64 row that no caller holds a writable
+        reference to, kept without the copy __post_init__ makes."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "amplitudes", amplitudes)
+        object.__setattr__(state, "source_norm", source_norm)
+        return state
+
     @property
     def dim(self) -> int:
         return self.amplitudes.shape[0]
@@ -60,12 +69,16 @@ class EncodedState:
 
 
 def _unit_rows(rows: np.ndarray):
-    """(unit rows, mantissas, exponents) of a C-contiguous 2-D array.
+    """(unit rows, mantissas, exponents) of a 2-D array, in C order whatever
+    the input's layout.
 
     Each row is divided exactly by 2**e, the power of two of its largest
     magnitude, so its sum of squares, taken pairwise along the row, lies in
     [0.25, len(row)): ||row|| = mantissa * 2**e. A zero row gives 0, 0, zeros.
+    The rows are made C-contiguous first: over a Fortran-ordered array the
+    sum runs down the columns instead, and its last bit can differ.
     """
+    rows = np.ascontiguousarray(rows)
     _, exp = np.frexp(np.abs(rows).max(axis=1))
     unit = np.ldexp(rows, -exp[:, None])
     mant = np.sqrt(np.add.reduce(unit * unit, axis=1))
@@ -74,10 +87,13 @@ def _unit_rows(rows: np.ndarray):
 
 
 def _states(unit, mant, exp) -> list:
-    """One EncodedState per unit row of a _unit_rows triple."""
+    """One EncodedState per unit row of a _unit_rows triple; the states share
+    one read-only copy of the rows rather than copying a row each."""
     with np.errstate(over="ignore"):  # a norm past float64's range reads inf
         norms = np.ldexp(mant, exp).tolist()
-    return [EncodedState(u, n) for u, n in zip(unit, norms)]
+    amplitudes = np.array(unit)
+    amplitudes.setflags(write=False)
+    return list(map(EncodedState._wrap, amplitudes, norms))
 
 
 def encode(v) -> EncodedState:

@@ -314,6 +314,47 @@ class TestGoldenStream:
         assert hashlib.sha256(r.true_overlap.tobytes()).hexdigest() == self.TRUE_OVERLAP_SHA
 
 
+def small_products():
+    """300 small products, as (a, b, cfg): shapes 1-12 with m, k or n of 1,
+    Fortran-ordered and strided operands, zero rows and columns, magnitudes
+    1e+-200, planted overlaps +-1, both modes and S from 1 to 2^20."""
+    rng = np.random.default_rng(20261019)
+    shot_levels = (1, 2, 1024, 16384, 1 << 20)
+    for case in range(300):
+        m, k, n = (int(v) for v in rng.integers(1, 13, size=3))
+        if case % 10 < 3:  # m, k or n is 1
+            m, k, n = [1 if axis == case % 10 else v for axis, v in enumerate((m, k, n))]
+        a = rng.normal(size=(m, 2 * k))[:, ::2] if case % 7 == 0 else rng.normal(size=(m, k))
+        b = rng.normal(size=(k, n))
+        if n > 1 and case % 3 == 0:
+            b[:, rng.integers(n)] = rng.choice([1.0, -1.0]) * a[rng.integers(m)]
+        a[rng.random(m) < 0.15] = 0.0
+        b[:, rng.random(n) < 0.15] = 0.0
+        a *= 10.0 ** rng.choice([0, 200, -200])
+        b *= 10.0 ** rng.choice([0, 200, -200])
+        if case % 4 in (1, 3):
+            a = np.asfortranarray(a)
+        if case % 4 in (2, 3):
+            b = np.asfortranarray(b)
+        cfg = MatMulConfig(shots=shot_levels[case % 5], seed=int(rng.integers(1 << 64, dtype=np.uint64)),
+                           exact=case % 3 == 2)
+        yield a, b, cfg
+
+
+# recorded before matmul's per-call work (one normalization pass over A and
+# B transposed, the array seed grid, broadcasts and map-driven job loops)
+SMALL_PRODUCTS_SHA = "9fae1caad849277501dd7bb3ca97a678a9f8d0609065ebace3cc40afa4e8db64"
+
+
+def test_small_products_are_pinned():
+    digest = hashlib.sha256()
+    for a, b, cfg in small_products():
+        r = matmul(a, b, cfg)
+        for arr in (r.c, r.z_hat, r.true_overlap, *r.norm_parts):
+            digest.update(arr.tobytes())
+    assert digest.hexdigest() == SMALL_PRODUCTS_SHA
+
+
 class TestExtremeMagnitudes:
     @pytest.mark.parametrize("exact", [True, False])
     @pytest.mark.parametrize("scale", [1e200, 1e-200])

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import re
 import tracemalloc
@@ -232,6 +233,23 @@ class TestTrain:
         for labels in ([-1, 0, 1] * 4, [0.0, 1.7, 2.2] * 4):
             with pytest.raises(InvalidArgument, match="labels must be"):
                 split_dataset(np.zeros((12, 4)), labels, split_seed=0)
+
+
+# recorded before matmul's per-call work (one normalization pass over A and
+# B transposed, the array seed grid, broadcasts and map-driven job loops)
+IRIS_TRAINING_SHA = "5a2dfea4f91dacae12f2834e27b071d54c900bd04dc4d8c3a6a65164715ad4da"
+
+
+def test_quantum_iris_training_is_pinned(iris_path):
+    # the benchmark's train-iris settings, two epochs: every weight bit, every
+    # epoch record and the job count come out of the sampled forward products
+    cfg = TrainConfig(shape=NetworkShape(4, 4, 3), batch_size=10, learning_rate=0.1,
+                      epochs=2, shots=16384, seed=4005, forward_mode=QUANTUM)
+    model, report = train(ingest_iris(iris_path, split_seed=77), cfg)
+    digest = hashlib.sha256(model.w1.tobytes() + model.w2.tobytes())
+    digest.update(repr((report.epochs, report.quantum_jobs)).encode())
+    assert report.quantum_jobs == 2 * 150 * (4 + 3)
+    assert digest.hexdigest() == IRIS_TRAINING_SHA
 
 
 @pytest.mark.slow

@@ -166,6 +166,13 @@ class TestDeriveSeedArrays:
             assert grid.shape == (70, 65) and grid.dtype == np.uint64
             assert grid.tolist() == [[derive_seed(master, i, j) for j in range(65)] for i in range(70)]
 
+    def test_the_in_place_steps_leave_the_coordinates_alone(self):
+        rows, cols = np.arange(5, dtype=np.uint64), np.arange(7, dtype=np.uint64)
+        one = derive_seed(3, rows)
+        grid = derive_seed(3, rows[:, None], cols)
+        assert rows.tolist() == list(range(5)) and cols.tolist() == list(range(7))
+        assert grid[:, 0].tolist() == derive_seed(3, rows, 0).tolist() != one.tolist()
+
     def test_wrapping_values_match(self):
         xs = [0, 1, (1 << 63) - 1, 1 << 63, (1 << 64) - 2, (1 << 64) - 1]
         with warnings.catch_warnings():

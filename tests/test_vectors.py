@@ -116,6 +116,29 @@ class TestNorms:
     def test_zero_row(self):
         assert np.array_equal(_norms(_unit_rows(np.array([[3.0, 4.0], [0.0, 0.0]]))), [5, 0])
 
+    def test_every_layout_gives_the_bits_of_the_c_order_rows(self):
+        # the sum of squares runs along each row whatever the input's layout;
+        # over a Fortran-ordered array it would run down the columns instead
+        rng = np.random.default_rng(10)
+        for _ in range(200):
+            m = rng.normal(size=(rng.integers(2, 9), rng.integers(2, 40)))
+            want = [part.tobytes() for part in _unit_rows(m)]
+            spread = np.zeros((2 * m.shape[0], 2 * m.shape[1]))
+            spread[::2, ::2] = m
+            for layout in (np.asfortranarray(m), np.ascontiguousarray(m.T).T, spread[::2, ::2]):
+                assert [part.tobytes() for part in _unit_rows(layout)] == want
+
+    def test_a_one_row_a_stacked_on_b_transposed_keeps_the_bits(self):
+        # np.concatenate of a 1 x k A and B transposed is Fortran-ordered
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            k = rng.integers(2, 40)
+            a, b = rng.normal(size=(1, k)), rng.normal(size=(k, rng.integers(2, 8)))
+            assert np.concatenate((a, b.T)).flags.f_contiguous
+            got_a, got_b = _prepare(a, b)
+            for got, rows in ((got_a, a), (got_b, np.ascontiguousarray(b.T))):
+                assert [part.tobytes() for part in got] == [part.tobytes() for part in _unit_rows(rows)]
+
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(8)
         m = rng.normal(size=(8, 8))
@@ -219,3 +242,15 @@ def test_encoded_state_is_immutable():
     s = encode([1.0, 1.0])
     with pytest.raises(ValueError):
         s.amplitudes[0] = 5.0
+
+
+def test_prepared_states_are_read_only_and_apart_from_the_operands():
+    a, b = np.array([[3.0, 4.0], [1.0, 0.0]]), np.array([[1.0], [2.0]])
+    a_rows, b_cols = _prepare(a, b)
+    row_states, col_states = prepare_all(a_rows, b_cols)
+    a_rows[0][0, 0] = b_cols[0][0, 0] = 9.0  # the unit rows stay the caller's
+    for state in (*row_states, *col_states):
+        with pytest.raises(ValueError):
+            state.amplitudes[0] = 5.0
+    assert row_states[0].amplitudes.tolist() == [0.6, 0.8]
+    assert col_states[0].amplitudes.tolist() == encode([1.0, 2.0]).amplitudes.tolist()
