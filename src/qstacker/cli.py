@@ -121,26 +121,35 @@ def write_result_csv(result: MatMulResult, path, product_path=None) -> None:
     With product_path, C goes there too, as matio.write_matrix_csv writes it,
     from the same c_ij strings. Both files stream one row at a time: each
     value is repr'd once, and row i goes out in one write per file.
+
+    Each row fills one template of 8 slots per column ("i,", "j,", z_hat,
+    ",", c_ij, ",", stderr, newline) whose "j," slots are set once per
+    product; exact mode leaves the constant "0.0" in every stderr slot.
     """
     z = result.z_hat
-    if result.exact:
-        se = np.zeros_like(z)
-    else:
+    se = None
+    if not result.exact:
         # the norms' exponents apply last, as in c: stderr stays finite where
         # norm_products overflows
         mant, exp = result.norm_parts
         with np.errstate(over="ignore"):
             se = np.ldexp(error_budget(mant, result.shots, mu=z), exp)
+    cols = z.shape[1]
+    line = ["", "", "", ",", "", ",", "0.0", "\n"] * cols
+    line[1::8] = [f"{j}," for j in range(cols)]
     with (
         open(path, "w") as fh,
         nullcontext() if product_path is None else open(product_path, "w") as product,
     ):
         fh.write("i,j,z_hat,c_ij,stderr\n")
-        for i, (z_row, c_row, se_row) in enumerate(zip(z, result.c, se)):
+        for i, (z_row, c_row) in enumerate(zip(z, result.c)):
             cells = list(map(repr, c_row.tolist()))
-            lines = zip(itertools.count(), map(repr, z_row.tolist()), cells, map(repr, se_row.tolist()))
-            prefix = f"{i},"
-            fh.write("".join([f"{prefix}{j},{zv},{cv},{sv}\n" for j, zv, cv, sv in lines]))
+            line[0::8] = [f"{i},"] * cols
+            line[2::8] = map(repr, z_row.tolist())
+            line[4::8] = cells
+            if se is not None:
+                line[6::8] = map(repr, se[i].tolist())
+            fh.write("".join(line))
             if product is not None:
                 product.write(",".join(cells) + "\n")
 

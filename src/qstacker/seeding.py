@@ -69,7 +69,7 @@ def derive_seed(master: int, *coords: int | np.ndarray) -> int | np.ndarray:
 
     Deterministic, order-sensitive, and well-separated: (m, i, j) and
     (m, j, i) yield unrelated streams. Coordinates may also be uint64 arrays,
-    which broadcast against each other and give, element by element, the seed
+    0-d ones included, which broadcast against each other and give, element by element, the seed
     of the scalar chain; matmul derives every element seed in one such call.
     Any integer master (NumPy scalars and negatives included) is reduced mod
     2^64 as a Python int.
@@ -77,7 +77,9 @@ def derive_seed(master: int, *coords: int | np.ndarray) -> int | np.ndarray:
     state = splitmix64((_INIT ^ (operator.index(master) & _MASK)) & _MASK)
     for c in coords:
         if isinstance(state, np.ndarray) or isinstance(c, np.ndarray):
-            state = _splitmix64_into(np.bitwise_xor(state, c))  # xor's new array, not c
+            # xor's new array, not c; asarray keeps a 0-d result an array, since
+            # scalar arithmetic warns where array arithmetic wraps silently
+            state = _splitmix64_into(np.asarray(np.bitwise_xor(state, c)))
         else:
             state = splitmix64((state ^ (c & _MASK)) & _MASK)
     return state

@@ -576,6 +576,7 @@ _SWEEPS = st.lists(st.tuples(_ENTROPIES, _VARIANCES), min_size=2, max_size=12)
 
 
 class TestCrossingScan:
+    @pytest.mark.slow
     @settings(deadline=None, max_examples=500)
     @given(sweep_a=_SWEEPS, sweep_b=_SWEEPS)
     # np.interp over the subnormal entropy steps gives an infinite difference

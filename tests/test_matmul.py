@@ -575,6 +575,67 @@ class TestSerialization:
         write_result_csv(r, tmp_path / "alone.csv")
         assert (tmp_path / "alone.csv").read_bytes() == (tmp_path / "matmul.csv").read_bytes()
 
+    @settings(deadline=None, max_examples=100)
+    @given(
+        rows=st.integers(1, 9),
+        inner=st.integers(1, 9),
+        cols=st.integers(1, 9),
+        exact=st.booleans(),
+        shots=st.sampled_from([1, 1024, 1 << 20]),
+        data=st.data(),
+    )
+    def test_every_shape_writes_the_per_element_reference(self, tmp_path_factory, rows, inner, cols,
+                                                          exact, shots, data):
+        # the writer's row template against one f-string per element, with
+        # 1-row and 1-column products and the awkward reprs planted anywhere
+        rng = np.random.default_rng(data.draw(st.integers(0, (1 << 32) - 1), label="values"))
+        r = matmul(rng.normal(size=(rows, inner)), rng.normal(size=(inner, cols)),
+                   MatMulConfig(shots=shots, seed=43, exact=exact))
+        c, z = r.c.copy(), r.z_hat.copy()
+        cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+        for (i, j), v in data.draw(st.dictionaries(
+                cells, st.sampled_from([-0.0, 5e-324, 1e16, 1e-300, math.inf, -math.inf])), label="c").items():
+            c[i, j] = v
+        for (i, j), v in data.draw(st.dictionaries(cells, st.sampled_from([-0.0, 5e-324])), label="z").items():
+            z[i, j] = v
+        r = dataclasses.replace(r, c=c, z_hat=z)
+        expected = ["i,j,z_hat,c_ij,stderr"]
+        for i in range(rows):
+            for j in range(cols):
+                zv = float(r.z_hat[i, j])
+                se = 0.0 if exact else float(error_budget(float(r.norm_products[i, j]), shots, mu=zv))
+                expected.append(f"{i},{j},{zv!r},{float(r.c[i, j])!r},{se!r}")
+        out = tmp_path_factory.mktemp("serial")
+        write_result_csv(r, out / "matmul.csv", out / "product.csv")
+        write_result_csv(r, out / "alone.csv")
+        assert (out / "matmul.csv").read_text() == "\n".join(expected) + "\n"
+        assert (out / "alone.csv").read_bytes() == (out / "matmul.csv").read_bytes()
+        product = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in r.c)
+        assert (out / "product.csv").read_text() == product
+        if np.isfinite(r.c).all():  # write_matrix_csv refuses inf
+            write_matrix_csv(out / "reference.csv", r.c)
+            assert (out / "product.csv").read_bytes() == (out / "reference.csv").read_bytes()
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_stderr_is_zero_when_exact_and_the_budget_when_sampled(self, tmp_path, exact):
+        # row 2 has norm 1.4e308: c[2, 3] is inf, as [[1e308, 1e308]] @
+        # [[1e308], [1e308]] is, and ||A_2|| * ||B_2|| is past float64's range
+        # while c[2, 2] and its sampled stderr are finite
+        rng = np.random.default_rng(57)
+        a, b = rng.normal(size=(3, 2)), rng.normal(size=(2, 4))
+        a[2], b[:, 2], b[:, 3] = 1e308, (1.0, -1.0), 1e308
+        r = matmul(a, b, MatMulConfig(shots=1024, seed=47, exact=exact))
+        assert r.c[2, 3] == math.inf and r.norm_products[2, 2] == math.inf
+        write_result_csv(r, tmp_path / "matmul.csv")
+        lines = (tmp_path / "matmul.csv").read_text().splitlines()[1:]
+        assert len(lines) == 12 and lines[11].startswith("2,3,") and lines[11].split(",")[3] == "inf"
+        mant, exp = r.norm_parts
+        for line, (i, j) in zip(lines, np.ndindex(3, 4)):
+            z = float(r.z_hat[i, j])
+            se = 0.0 if exact else float(np.ldexp(error_budget(float(mant[i, j]), 1024, mu=z), int(exp[i, j])))
+            assert line.rsplit(",", 1)[1] == repr(se)
+        assert exact or 1e306 < float(lines[10].rsplit(",", 1)[1]) < 1e307
+
     @pytest.mark.parametrize("exact", [True, False])
     def test_the_writer_streams_row_by_row(self, tmp_path, exact):
         # both files of a 128x128 product, 1.7 MB and more if either is

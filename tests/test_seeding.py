@@ -182,6 +182,22 @@ class TestDeriveSeedArrays:
         assert arr.tolist() == [splitmix64(x) for x in xs]
         assert seeds3.tolist() == [derive_seed(9, x, 2, 3) for x in xs]
 
+    def test_zero_d_one_d_and_int_coordinates_mix(self):
+        # a 0-d xor gives a NumPy scalar, whose wrapping add would warn
+        top = (1 << 64) - 1
+        xs = [0, 3, 1 << 63, top]
+        for master in (5, top):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                alone = derive_seed(master, np.array(3, dtype=np.uint64))
+                mixed = derive_seed(master, np.array(top, dtype=np.uint64), 2,
+                                    np.array(xs, dtype=np.uint64), np.array(7, dtype=np.uint64))
+                first = derive_seed(master, np.array(xs, dtype=np.uint64), np.array(0, dtype=np.uint64))
+            assert alone.shape == () and alone.dtype == np.uint64
+            assert int(alone) == derive_seed(master, 3)
+            assert mixed.tolist() == [derive_seed(master, top, 2, x, 7) for x in xs]
+            assert first.tolist() == [derive_seed(master, x, 0) for x in xs]
+
 
 class TestNumpyIntegerMasters:
     @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint64])
