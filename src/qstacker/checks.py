@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .entropy import (StateFamily, concentration_check, crossing_point, entropy, generate_state,
+from .entropy import (StateFamily, _draw_probs, concentration_check, crossing_point, entropy,
                       pearson, sweep_levels, variance_band, variance_sweep)
 from .errors import NoCrossing
 from .hadamard import analytic_overlap, circuit_verify
@@ -151,11 +151,14 @@ def planner_formulas(master: int) -> tuple[bool, str]:
 
 
 def entropy_inequalities(master: int, per_family: int = 2000) -> tuple[bool, str]:
-    """Criterion 7: purity >= e^-H and collision entropy <= H on every distribution."""
+    """Criterion 7: purity >= e^-H and collision entropy <= H on every distribution.
+
+    Only generate_state's probabilities are drawn, here and in criterion 10:
+    its signs come after them on the same stream and never enter a verdict."""
     violations = 0
     for fam in StateFamily:
         for k in range(per_family):
-            _, dist = generate_state(fam, 32, derive_seed(master, 7, ord(fam.value[0]), k))
+            dist, _ = _draw_probs(fam, 32, derive_seed(master, 7, ord(fam.value[0]), k))
             rep = entropy(dist)
             if rep.purity < math.exp(-rep.shannon_nats) - 1e-12:
                 violations += 1
@@ -211,7 +214,7 @@ def concentration_verdicts(master: int) -> tuple[bool, str]:
     passed = 0
     for k in range(50):
         fam = families[k % len(families)]
-        _, dist = generate_state(fam, 32, derive_seed(master, 10, k))
+        dist, _ = _draw_probs(fam, 32, derive_seed(master, 10, k))
         verdict = concentration_check(dist, trials=10_000, seed=derive_seed(master, 10, k, 1))
         passed += int(verdict.passed)
     return passed == 50, f"{passed}/50 verdicts pass at 1e4 trials"

@@ -21,8 +21,15 @@ Each state, sweep level and concentration check draws from a re-keyed
 generator (seeding.rekeyed_rng), the stream job_rng would build; the sweep's
 level stream and generate_state's are distinct objects, since the partner of
 an INDEPENDENT level is drawn while the level's stream is live. Sign matrices
-come from raw Philox words (seeding.random_signs), and the per-level
-statistics are np.add.reduce forms of np.mean and np.var, bit for bit.
+come from raw Philox words (seeding.random_signs).
+
+variance_sweep allocates its buffers once per family: one sign matrix that
+every level overwrites, the (levels, repetitions) overlaps and estimates, and
+one p0 row. A RESIGNED level draws only its state's probabilities
+(_draw_probs), whose bits are generate_state's. After the last level, each
+statistic is computed for the whole family at once, as row-wise
+np.add.reduce forms of np.mean and np.var that equal them row by row, bit
+for bit; so every record keeps the bits of a fresh per-level loop.
 """
 
 from __future__ import annotations
@@ -130,25 +137,24 @@ class StateFamily(str, Enum):
     INTERPOLATED = "interpolated"
 
 
-def generate_state(
+def _state_dim(n) -> int:
+    """generate_state's dimension n, validated: an integer of at least 2."""
+    n = as_int(n, "n")
+    if n < 2:
+        raise InvalidArgument(f"need support size >= 2, got n={n}")
+    return n
+
+
+def _draw_probs(
     family: StateFamily,
     n: int,
     seed: int,
     support: int | None = None,
     t: float | None = None,
-) -> tuple[EncodedState, ProbDist]:
-    """Draw a random state of the family: probabilities p plus +/- signs.
-
-    Weight families (normal/exponential/chisquare) draw positive weights on
-    the chosen support and normalize; uniform puts 1/m on a random support
-    of size m; interpolated blends a point mass with the uniform
-    distribution, p = (1-t) delta_0 + t/n, so t sweeps entropy from 0 to
-    ln n. Amplitudes are sqrt(p_i) with random signs.
-    """
-    family = as_enum(StateFamily, family, "family")
-    n = as_int(n, "n")
-    if n < 2:
-        raise InvalidArgument(f"need support size >= 2, got n={n}")
+) -> tuple[ProbDist, np.random.Generator]:
+    """generate_state's probabilities for a validated family and n, with the
+    generator positioned after them: p is drawn before the signs on the same
+    stream, so it keeps its bits when the signs are not drawn."""
     rng = rekeyed_rng(seed, "generate_state")
     p = np.zeros(n)
     if family is StateFamily.INTERPOLATED:
@@ -177,11 +183,31 @@ def generate_state(
         else:  # CHI_SQUARE, one degree of freedom
             w = rng.chisquare(1, size=m)
             p[idx] = w / w.sum()
-    dist = ProbDist(p)
+    return ProbDist(p), rng
+
+
+def generate_state(
+    family: StateFamily,
+    n: int,
+    seed: int,
+    support: int | None = None,
+    t: float | None = None,
+) -> tuple[EncodedState, ProbDist]:
+    """Draw a random state of the family: probabilities p plus +/- signs.
+
+    Weight families (normal/exponential/chisquare) draw positive weights on
+    the chosen support and normalize; uniform puts 1/m on a random support
+    of size m; interpolated blends a point mass with the uniform
+    distribution, p = (1-t) delta_0 + t/n, so t sweeps entropy from 0 to
+    ln n. Amplitudes are sqrt(p_i) with random signs.
+    """
+    family = as_enum(StateFamily, family, "family")
+    n = _state_dim(n)
+    dist, rng = _draw_probs(family, n, seed, support, t)
     # not random_signs: the uniform family's integers(1, n + 1) may have left
     # a buffered 32-bit half, which integers(0, 2) draws first
     signs = rng.integers(0, 2, size=n) * 2 - 1
-    amps = signs * np.sqrt(p)
+    amps = signs * np.sqrt(dist.p)
     return EncodedState(amps, 1.0), dist
 
 
@@ -213,17 +239,28 @@ class SweepRecord:
     repetitions: int
 
 
+def _row_means(x: np.ndarray) -> np.ndarray:
+    """np.mean(x, axis=-1) of a C-contiguous float64 array, bit for bit,
+    without its dispatch: each row's pairwise sum over its size."""
+    return np.add.reduce(x, axis=-1) / x.shape[-1]
+
+
+def _row_vars(x: np.ndarray) -> np.ndarray:
+    """np.var(x, axis=-1, ddof=1) of a C-contiguous float64 array, bit for bit:
+    the same pairwise sums of the same squared deviations from the same means."""
+    dev = x - _row_means(x)[..., None]
+    dev *= dev
+    return np.add.reduce(dev, axis=-1) / (x.shape[-1] - 1)
+
+
 def _mean(x: np.ndarray) -> float:
-    """np.mean(x) of a 1-D float64 array, bit for bit, without its dispatch."""
-    return float(np.add.reduce(x) / x.size)
+    """np.mean(x) of a 1-D float64 array, bit for bit."""
+    return float(_row_means(x))
 
 
 def _var(x: np.ndarray) -> float:
-    """np.var(x, ddof=1) of a 1-D float64 array, bit for bit: the same pairwise
-    sums of the same squared deviations from the same mean."""
-    dev = x - np.add.reduce(x) / x.size
-    dev *= dev
-    return float(np.add.reduce(dev) / (x.size - 1))
+    """np.var(x, ddof=1) of a 1-D float64 array, bit for bit."""
+    return float(_row_vars(x))
 
 
 def sweep_levels(family: StateFamily, count: int, dim: int) -> list:
@@ -261,25 +298,47 @@ def variance_sweep(
     pairing = as_enum(SweepPairing, pairing, "pairing")
     shots = as_int(shots, "shots", minimum=1, maximum=MAX_SHOTS)
     repetitions = as_int(repetitions, "repetitions", minimum=2)
-    records = []
+    dim = _state_dim(dim)
+    levels = list(levels)
+    coords = np.arange(len(levels), dtype=np.uint64)
+    state_seeds = derive_seed(seed, coords).tolist()
+    level_seeds = derive_seed(seed, coords, 1).tolist()
+    # the sweep's buffers, allocated once: a level only draws into them
+    taus = np.empty((repetitions, dim))
+    mus = np.empty((len(levels), repetitions))
+    z = np.empty_like(mus)
+    p0 = np.empty(repetitions)
+    dists = []
     for j, level in enumerate(levels):
         # the interpolated family is swept by t, every other family by support size
         shape = {"t": float(level)} if family is StateFamily.INTERPOLATED else {"support": level}
-        psi, dist = generate_state(family, dim, derive_seed(seed, j), **shape)
-        rep = entropy(dist)
         # a stream of its own: generate_state re-keys its generator for the
         # INDEPENDENT partner while this one is live
-        rng = rekeyed_rng(derive_seed(seed, j, 1), "variance_sweep")
+        rng = rekeyed_rng(level_seeds[j], "variance_sweep")
         if pairing is SweepPairing.RESIGNED:
-            taus = random_signs(rng, (repetitions, dim))
-            mus = taus @ dist.p  # <psi| V_b |psi> = sum_i p_i tau_bi
+            # the state's own signs never enter mu, so only p is drawn
+            dist, _ = _draw_probs(family, dim, state_seeds[j], **shape)
+            random_signs(rng, taus.shape, out=taus)
+            np.matmul(taus, dist.p, out=mus[j])  # <psi| V_b |psi> = sum_i p_i tau_bi
         else:
+            psi, dist = generate_state(family, dim, state_seeds[j], **shape)
             phi, _ = generate_state(family, dim, derive_seed(seed, j, 2), **shape)
-            mu = float(np.dot(psi.amplitudes, phi.amplitudes))
-            mus = np.full(repetitions, mu)
-        p0 = np.clip((1.0 + mus) / 2.0, 0.0, 1.0)
-        counts = rng.binomial(shots, p0)
-        z = estimate(counts, shots)
+            mus[j] = float(np.dot(psi.amplitudes, phi.amplitudes))
+        dists.append(dist)
+        # np.clip((1 + mu)/2, 0, 1), in place
+        np.add(mus[j], 1.0, out=p0)
+        p0 /= 2.0
+        np.minimum(p0, 1.0, out=p0)
+        np.maximum(p0, 0.0, out=p0)
+        z[j] = estimate(rng.binomial(shots, p0), shots)
+    # each level's statistics are a row of these, bit for bit as _mean and _var
+    empirical = _row_means((z - mus) ** 2).tolist()
+    overlap = _row_vars(mus).tolist()
+    total = _row_vars(z).tolist()
+    mean_sq = _row_means(mus**2).tolist()
+    records = []
+    for j, (level, dist) in enumerate(zip(levels, dists)):
+        h = shannon_entropy(dist.p)
         records.append(
             SweepRecord(
                 family=family.value,
@@ -287,15 +346,15 @@ def variance_sweep(
                 dim=dim,
                 support=int(np.count_nonzero(dist.p)),
                 level=float(level),
-                entropy_nats=rep.shannon_nats,
-                entropy_bits=rep.shannon_bits,
-                purity=rep.purity,
-                empirical_variance=_mean((z - mus) ** 2),
-                overlap_variance=_var(mus),
-                total_variance=_var(z),
-                expected_shot_variance=(1.0 - _mean(mus**2)) / shots,
+                entropy_nats=h,
+                entropy_bits=h / LN2,
+                purity=float(np.add.reduce(dist.p * dist.p)),
+                empirical_variance=empirical[j],
+                overlap_variance=overlap[j],
+                total_variance=total[j],
+                expected_shot_variance=(1.0 - mean_sq[j]) / shots,
                 theoretical_ceiling=1.0 / shots,
-                dividend_bound=dividend_bound(rep.shannon_nats, shots),
+                dividend_bound=dividend_bound(h, shots),
                 shots=shots,
                 repetitions=repetitions,
             )

@@ -18,7 +18,8 @@ takes about half the time it takes from uint64 arrays. It runs once per
 sampled element.
 
 random_signs reads +/-1 signs straight from Philox's raw 64-bit words: the
-same values that integers(0, 2) gives, one word per two signs.
+same values that integers(0, 2) gives, one word per two signs, written into
+a buffer the caller may reuse.
 """
 
 from __future__ import annotations
@@ -125,21 +126,27 @@ def job_binomial(seed: int, shots: int, p0: float) -> int:
     return int(rekeyed_rng(seed, "job_binomial").binomial(shots, p0))
 
 
-def random_signs(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+def random_signs(rng: np.random.Generator, shape: tuple[int, ...],
+                 out: np.ndarray | None = None) -> np.ndarray:
     """+/-1.0 signs equal to rng.integers(0, 2, size=shape) * 2 - 1, for a
     Philox generator at a 64-bit word boundary (fresh from job_rng or
-    rekeyed_rng).
+    rekeyed_rng), written into `out` (a C-contiguous float64 array of that
+    shape) when given, else into a new array.
 
     NumPy draws integers(0, 2) as bit 31 of one 32-bit half per value
     (Lemire's method with range 2 never rejects), and Philox hands out the
     low half of each 64-bit word first; so ceil(n/2) raw words give the n
-    signs in order. For odd n, integers keeps the last high half buffered
-    for a later 32-bit draw; draws of whole words that follow (binomial,
-    normal, uniform) are the same either way.
+    signs in order. Read as int32, each half shifted right by 31 is -1 where
+    that bit is set and 0 where it is not, and -2x - 1 maps those to +1 and
+    -1 in place. For odd n, integers keeps the last high half buffered for a
+    later 32-bit draw; draws of whole words that follow (binomial, normal,
+    uniform) are the same either way.
     """
     n = math.prod(shape)
+    if out is None:
+        out = np.empty(shape)
     words = np.asarray(rng.bit_generator.random_raw((n + 1) // 2), dtype="<u8")
-    signs = (words.view("<u4")[:n] >> 31).astype(np.float64)
-    signs *= 2.0
-    signs -= 1.0
-    return signs.reshape(shape)
+    np.right_shift(words.view("<i4")[:n], 31, out=out.reshape(n), casting="unsafe")
+    out *= -2.0
+    out -= 1.0
+    return out

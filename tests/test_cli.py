@@ -7,7 +7,7 @@ import pytest
 from conftest import write_idx_images, write_idx_labels
 from qstacker import MatMulConfig, checks, cli, error_budget, matmul, nn
 from qstacker.cli import main
-from qstacker.errors import InvalidDistribution, NoCrossing
+from qstacker.errors import InvalidDistribution, NoCrossing, NonFiniteInput
 from qstacker.matio import read_matrix_csv, write_matrix_bin, write_matrix_csv
 
 
@@ -83,6 +83,23 @@ class TestMatmulCommand:
         capsys.readouterr()
         assert code == 0
         assert read_matrix_csv(out / "product.csv")[0, 0] == pytest.approx(3e8, rel=1e-12, abs=0.0)
+
+    def test_an_overflowing_product_csv_cannot_be_read_back(self, tmp_path, capsys):
+        # product.csv equals write_matrix_csv(path, result.c) only for a finite product:
+        # this one writes inf, which the writer and --a both refuse
+        pa, pb, out = tmp_path / "a.bin", tmp_path / "b.bin", tmp_path / "out"
+        write_matrix_bin(pa, np.full((1, 2), 1e308))
+        write_matrix_bin(pb, np.full((2, 1), 1e308))
+        assert main(["matmul", "--a", str(pa), "--b", str(pb), "--exact", "--out", str(out)]) == 0
+        product = out / "product.csv"
+        assert product.read_text() == "inf\n"
+        with pytest.raises(NonFiniteInput):
+            write_matrix_csv(tmp_path / "c.csv", np.full((1, 1), np.inf))
+        capsys.readouterr()
+        code = main(["matmul", "--a", str(product), "--b", str(product), "--exact",
+                     "--out", str(tmp_path / "again")])
+        assert code == 3
+        assert capsys.readouterr().err == f"data error: {product}: matrix contains NaN or Inf\n"
 
     @pytest.mark.parametrize("exact", [True, False])
     def test_artifacts_hold_the_product_bit_for_bit(self, tmp_path, capsys, exact):

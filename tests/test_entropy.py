@@ -11,12 +11,14 @@ from qstacker import (
     ProbDist,
     StateFamily,
     SweepPairing,
+    SweepRecord,
     adaptive_shots,
     concentration_check,
     crossing_point,
     derive_seed,
     dividend_bound,
     entropy,
+    estimate,
     generate_state,
     pearson,
     sweep_levels,
@@ -24,7 +26,8 @@ from qstacker import (
     variance_sweep,
 )
 from qstacker.cli import write_sweep_csv
-from qstacker.entropy import LN2, _isotonic_decreasing, _mean, _t_two_tailed, _var, shannon_entropy
+from qstacker.entropy import (LN2, _draw_probs, _isotonic_decreasing, _mean, _row_means, _row_vars,
+                              _t_two_tailed, _var, shannon_entropy)
 from qstacker.errors import ConstantSeries, InvalidArgument, InvalidDistribution, NoCrossing
 from qstacker.seeding import job_rng
 from qstacker.vectors import EncodedState
@@ -135,6 +138,19 @@ class TestGenerateState:
             generate_state(StateFamily.UNIFORM, 1, seed=1)
         with pytest.raises(InvalidArgument, match=r"interpolation parameter t=1.5 outside \[0, 1\]"):
             generate_state(StateFamily.INTERPOLATED, 8, seed=1, t=1.5)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_the_probabilities_only_draw_keeps_the_bits(self, family):
+        shaped = {"t": 0.3} if family is StateFamily.INTERPOLATED else {"support": 5}
+        for k in range(20):
+            seed = derive_seed(31, k)
+            for shape in ({}, shaped):
+                dist, rng = _draw_probs(family, 8, seed, **shape)
+                # the generator is left where generate_state draws its signs
+                amps = (rng.integers(0, 2, size=8) * 2 - 1) * np.sqrt(dist.p)
+                psi, want = generate_state(family, 8, seed, **shape)
+                assert dist.p.tobytes() == want.p.tobytes()
+                assert amps.tobytes() == psi.amplitudes.tobytes()
 
 
 class TestEntropyInequalities:
@@ -307,6 +323,51 @@ def test_sweep_streams_are_pinned(key):
     assert digest == SWEEP_STREAMS[key]
 
 
+def _reference_sweep(family, levels, dim, shots, repetitions, seed, pairing):
+    """variance_sweep as a fresh per-level loop in plain NumPy: a whole
+    generate_state, integer signs from a new job_rng, np.clip, and np.mean and
+    np.var of each level's own arrays."""
+    records = []
+    for j, level in enumerate(levels):
+        shape = {"t": float(level)} if family is StateFamily.INTERPOLATED else {"support": level}
+        psi, dist = generate_state(family, dim, derive_seed(seed, j), **shape)
+        rep = entropy(dist)
+        rng = job_rng(derive_seed(seed, j, 1))
+        if pairing is SweepPairing.RESIGNED:
+            taus = (rng.integers(0, 2, size=(repetitions, dim)) * 2 - 1).astype(np.float64)
+            mus = taus @ dist.p
+        else:
+            phi, _ = generate_state(family, dim, derive_seed(seed, j, 2), **shape)
+            mus = np.full(repetitions, float(np.dot(psi.amplitudes, phi.amplitudes)))
+        z = estimate(rng.binomial(shots, np.clip((1.0 + mus) / 2.0, 0.0, 1.0)), shots)
+        records.append(SweepRecord(
+            family=family.value, pairing=pairing.value, dim=dim,
+            support=int(np.count_nonzero(dist.p)), level=float(level),
+            entropy_nats=rep.shannon_nats, entropy_bits=rep.shannon_bits, purity=rep.purity,
+            empirical_variance=float(np.mean((z - mus) ** 2)),
+            overlap_variance=float(np.var(mus, ddof=1)),
+            total_variance=float(np.var(z, ddof=1)),
+            expected_shot_variance=(1.0 - float(np.mean(mus**2))) / shots,
+            theoretical_ceiling=1.0 / shots,
+            dividend_bound=dividend_bound(rep.shannon_nats, shots),
+            shots=shots, repetitions=repetitions))
+    return records
+
+
+# 500 x 64 is the entropy-sweep-cli shape; 11 x 7 signs are odd in number, so
+# the reference's integers(0, 2) leaves a buffered half-word; 3 x 8 is a sign
+# buffer wider than it is tall
+@pytest.mark.parametrize("dim, reps, count", [(64, 500, 16), (7, 11, 6), (8, 3, 6)])
+@pytest.mark.parametrize("pairing", list(SweepPairing), ids=lambda p: p.value)
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
+def test_sweep_equals_the_per_level_reference(family, pairing, dim, reps, count):
+    levels = sweep_levels(family, count, dim)
+    ours = variance_sweep(family, levels, dim=dim, shots=8192, repetitions=reps, seed=2027,
+                          pairing=pairing)
+    want = _reference_sweep(family, levels, dim, 8192, reps, 2027, pairing)
+    assert [repr(r) for r in ours] == [repr(r) for r in want]
+
+
 class TestStatistics:
     @settings(deadline=None, max_examples=300)
     @given(size=st.integers(2, 5000), scale=st.integers(-8, 8), shift=st.floats(-3.0, 3.0),
@@ -316,6 +377,15 @@ class TestStatistics:
         x = (np.random.default_rng(seed).normal(size=size) + shift) * 10.0**scale
         assert _mean(x) == float(np.mean(x))
         assert _var(x) == float(np.var(x, ddof=1))
+
+    @settings(deadline=None, max_examples=200)
+    @given(rows=st.integers(1, 40), cols=st.integers(2, 5000), scale=st.integers(-8, 8),
+           shift=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
+    def test_row_forms_are_the_bits_of_each_row(self, rows, cols, scale, shift, seed):
+        # variance_sweep reduces a whole family's (levels, reps) arrays at once
+        x = (np.random.default_rng(seed).normal(size=(rows, cols)) + shift) * 10.0**scale
+        assert _row_means(x).tolist() == [_mean(r) for r in x] == [float(np.mean(r)) for r in x]
+        assert _row_vars(x).tolist() == [_var(r) for r in x] == [float(np.var(r, ddof=1)) for r in x]
 
     @pytest.mark.parametrize("x", [[1.0, 1.0], [0.0, 1e-8], [1e8, -1e8, 3.0], [0.1] * 4999])
     def test_fixed_series(self, x):

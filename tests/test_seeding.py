@@ -154,6 +154,15 @@ class TestRandomSigns:
             want = job_rng(seed).integers(0, 2, size=shape) * 2 - 1
             assert np.array_equal(random_signs(rekeyed_rng(seed, "test"), shape), want)
 
+    @pytest.mark.parametrize("shape", [(500, 64), (11, 7), (3, 8), (1, 1), (3,)])
+    def test_into_a_buffer_equals_the_fresh_array(self, shape):
+        out = np.full(shape, np.nan)
+        for k in range(20):  # one buffer for every draw, as variance_sweep keeps it
+            seed = derive_seed(9, k)
+            assert random_signs(job_rng(seed), shape, out=out) is out
+            assert out.tobytes() == random_signs(job_rng(seed), shape).tobytes()
+            assert np.array_equal(out, job_rng(seed).integers(0, 2, size=shape) * 2 - 1)
+
 
 class TestDeriveSeedArrays:
     def test_array_grid_equals_scalar_chain(self):
