@@ -23,7 +23,6 @@ from .entropy import (
     variance_sweep,
 )
 from .hadamard import (
-    HadamardJob,
     analytic_overlap,
     circuit_verify,
     estimate,

@@ -253,16 +253,6 @@ def _row_vars(x: np.ndarray) -> np.ndarray:
     return np.add.reduce(dev, axis=-1) / (x.shape[-1] - 1)
 
 
-def _mean(x: np.ndarray) -> float:
-    """np.mean(x) of a 1-D float64 array, bit for bit."""
-    return float(_row_means(x))
-
-
-def _var(x: np.ndarray) -> float:
-    """np.var(x, ddof=1) of a 1-D float64 array, bit for bit."""
-    return float(_row_vars(x))
-
-
 def sweep_levels(family: StateFamily, count: int, dim: int) -> list:
     """variance_sweep's levels: t in [0, 1] for interpolated, support sizes 1..dim
     spaced geometrically for uniform, exponential and chisquare."""
@@ -331,7 +321,7 @@ def variance_sweep(
         np.minimum(p0, 1.0, out=p0)
         np.maximum(p0, 0.0, out=p0)
         z[j] = estimate(rng.binomial(shots, p0), shots)
-    # each level's statistics are a row of these, bit for bit as _mean and _var
+    # each level's statistics are a row of these, bit for bit as np.mean and np.var(ddof=1)
     empirical = _row_means((z - mus) ** 2).tolist()
     overlap = _row_vars(mus).tolist()
     total = _row_vars(z).tolist()
@@ -564,8 +554,8 @@ def concentration_check(
     signs = random_signs(rekeyed_rng(seed, "concentration_check"), (trials, dist.n))
     mus = signs @ dist.p
     sq = mus**2
-    est = _mean(sq)
-    se = math.sqrt(_var(sq)) / math.sqrt(trials)
+    est = float(np.mean(sq))
+    se = math.sqrt(float(np.var(sq, ddof=1))) / math.sqrt(trials)
     bound = float(np.exp(-shannon_entropy(dist.p)))
     return ConcentrationVerdict(
         estimate=est,

@@ -64,7 +64,7 @@ class ZeroState(QStackerError):
 
 
 class PlanJobMismatch(QStackerError):
-    """Execution plan and job buffer disagree on job count, or an entry is not a job."""
+    """An execution plan and its job lists (states and seeds) disagree on the job count."""
 
 
 class InvalidDistribution(QStackerError):

@@ -3,9 +3,10 @@
 Two execution paths compute the same distribution:
 
   * production path: the ancilla |0> probability for states psi, phi is
-    p0 = (1 + <psi|phi>)/2 exactly, so shot outcomes are drawn from
-    Binomial(S, p0) with a per-job counter-based stream (the job's Philox
-    key is its seed; seeding.job_binomial re-keys a per-thread generator);
+    p0 = (1 + <psi|phi>)/2 exactly, so one sample_hadamard(psi, phi, S, seed)
+    call draws the shot outcomes from Binomial(S, p0) on the element's own
+    counter-based stream (its Philox key is the seed; seeding.rekeyed_rng
+    resets a per-thread generator to it);
   * verification path (circuit_verify): an explicit (n+1)-qubit statevector
     simulation of the ancilla-Hadamard / controlled-unitary / ancilla-Hadamard
     circuit, used as an oracle that the analytic shortcut is the true
@@ -18,32 +19,14 @@ primitive used for signed matrix elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ShapeMismatch, ZeroState, as_int
-from .seeding import MAX_SHOTS, job_binomial
+from .seeding import MAX_SHOTS, rekeyed_rng
 from .vectors import EncodedState
 
 MAX_VERIFY_QUBITS = 10  # data qubits; the explicit circuit adds one ancilla
 _EXACT_FLOAT = 1 << 53  # every integer up to here is a float64
-
-
-@dataclass(frozen=True)
-class HadamardJob:
-    """One inner-product estimation task: a state pair, shot count, seed.
-    analytic_overlap checks that the states' dimensions agree when it runs."""
-
-    psi: EncodedState
-    phi: EncodedState
-    shots: int
-    seed: int
-
-    def __post_init__(self):
-        # one job per live element: a plain int in range is kept without a call
-        if type(self.shots) is not int or not 1 <= self.shots <= MAX_SHOTS:
-            object.__setattr__(self, "shots", as_int(self.shots, "shots", minimum=1, maximum=MAX_SHOTS))
 
 
 def analytic_overlap(psi: EncodedState, phi: EncodedState) -> float:
@@ -61,15 +44,18 @@ def analytic_overlap(psi: EncodedState, phi: EncodedState) -> float:
     return mu if -1.0 <= mu <= 1.0 else min(max(mu, -1.0), 1.0)
 
 
-def sample_hadamard(job: HadamardJob) -> int:
-    """The job's ancilla |0> count.
+def sample_hadamard(psi: EncodedState, phi: EncodedState, shots: int, seed: int) -> int:
+    """The ancilla |0> count of one Hadamard test on psi and phi.
 
-    count0 ~ Binomial(S, (1 + mu)/2) from the job's own Philox stream;
-    identical jobs (including seed) always yield identical counts.
+    count0 ~ Binomial(shots, (1 + mu)/2), equal to job_rng(seed)'s draw;
+    the same arguments always yield the same count.
     """
-    mu = analytic_overlap(job.psi, job.phi)
+    # one call per live element: a plain int in range is kept without a call
+    if type(shots) is not int or not 1 <= shots <= MAX_SHOTS:
+        shots = as_int(shots, "shots", minimum=1, maximum=MAX_SHOTS)
+    mu = analytic_overlap(psi, phi)
     # p0 lies in [0, 1]: mu is clamped to [-1, 1], rounding is monotone, 0 and 2 are exact
-    return job_binomial(job.seed, job.shots, (1.0 + mu) / 2.0)
+    return int(rekeyed_rng(seed, "job_binomial").binomial(shots, (1.0 + mu) / 2.0))
 
 
 def estimate(count0, shots: int):

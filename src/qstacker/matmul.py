@@ -19,12 +19,10 @@ Elements whose row or column norm is zero are exact zeros with no job.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
-
 import numpy as np
 
 from .errors import ShapeMismatch, as_enum, as_int
-from .hadamard import HadamardJob, analytic_overlap, estimate
+from .hadamard import analytic_overlap, estimate
 from .seeding import MAX_SHOTS, derive_seed
 from .stacking import StackingPattern, StackingPlan, execute_plan, plan_jobs
 from .vectors import _unit_rows, as_matrix, prepare_all
@@ -95,11 +93,10 @@ def _sample(a_rows, b_cols, cfg: MatMulConfig):
     seeds = derive_seed(cfg.seed, live_i.astype(np.uint64), live_j.astype(np.uint64)).tolist()
     psis = list(map(row_states.__getitem__, live_i.tolist()))
     phis = list(map(col_states.__getitem__, live_j.tolist()))
-    jobs = list(map(HadamardJob, psis, phis, repeat(cfg.shots), seeds))
-    the_plan = plan_jobs(len(jobs), len(b_mant), a_rows[0].shape[1], cfg.pattern, cfg.qubit_budget)
-    counts = execute_plan(the_plan, jobs)
+    the_plan = plan_jobs(len(seeds), len(b_mant), a_rows[0].shape[1], cfg.pattern, cfg.qubit_budget)
+    counts = execute_plan(the_plan, psis, phis, cfg.shots, seeds)
     z_hat[live] = estimate(np.array(counts, dtype=np.int64), cfg.shots)
-    true_overlap[live] = np.fromiter(map(analytic_overlap, psis, phis), np.float64, len(jobs))
+    true_overlap[live] = np.fromiter(map(analytic_overlap, psis, phis), np.float64, len(seeds))
     return z_hat, true_overlap, the_plan
 
 

@@ -10,7 +10,8 @@ A Philox stream is fully set by its key and counter (Salmon et al.,
 to key (seed, 0), counter zero and an empty buffer draws exactly what
 job_rng(seed) draws. rekeyed_rng resets a per-thread generator that way
 instead of building a new one, whose constructor gathers OS entropy for a
-SeedSequence it then discards; a single-draw job (job_binomial) draws from it.
+SeedSequence it then discards; hadamard.sample_hadamard draws each sampled
+element's count from it.
 The reset state it keeps is a fresh Philox(key=0).state, field names and all,
 with its uint64 arrays as lists of Python ints: the state setter reads each
 counter, key and buffer entry one by one, and from a list of Python ints that
@@ -29,6 +30,8 @@ import operator
 import threading
 
 import numpy as np
+
+from .errors import as_int
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _INIT = 0x243F6A8885A308D3  # pi fractional bits, arbitrary nonzero start
@@ -87,7 +90,11 @@ def derive_seed(master: int, *coords: int | np.ndarray) -> int | np.ndarray:
 
 
 def job_rng(seed: int) -> np.random.Generator:
-    """Counter-based generator for one sampling job."""
+    """Counter-based generator for one sampling job, keyed by seed mod 2^64.
+    A NumPy integer seed gives the Python int's stream; a seed that as_int
+    refuses raises InvalidArgument."""
+    if type(seed) is not int:
+        seed = as_int(seed, "seed")
     return np.random.Generator(np.random.Philox(key=seed & _MASK))
 
 
@@ -116,14 +123,11 @@ def rekeyed_rng(seed: int, stream: str) -> np.random.Generator:
         gen = np.random.Generator(bitgen)
         state = _plain(bitgen.state)
         setattr(_streams, stream, (bitgen, gen, state))
+    if type(seed) is not int:  # one call per sampled element: a plain int skips as_int
+        seed = as_int(seed, "seed")
     state["state"]["key"][0] = seed & _MASK
     bitgen.state = state
     return gen
-
-
-def job_binomial(seed: int, shots: int, p0: float) -> int:
-    """One Binomial(shots, p0) draw, equal to job_rng(seed).binomial(shots, p0)."""
-    return int(rekeyed_rng(seed, "job_binomial").binomial(shots, p0))
 
 
 def random_signs(rng: np.random.Generator, shape: tuple[int, ...],

@@ -24,7 +24,7 @@ from enum import Enum
 from itertools import repeat
 
 from .errors import InvalidArgument, PlanJobMismatch, as_enum, as_int
-from .hadamard import HadamardJob, sample_hadamard
+from .hadamard import sample_hadamard
 
 
 class StackingPattern(str, Enum):
@@ -130,13 +130,12 @@ def complexity_report(p: StackingPlan, epsilon: float) -> dict:
     }
 
 
-def execute_plan(p: StackingPlan, jobs: list) -> list:
-    """Run the jobs in id order, the order every layout keeps; seeds are
-    job-derived, so the buffer equals running each job alone."""
-    if len(jobs) != p.total_jobs:
-        raise PlanJobMismatch(f"plan holds {p.total_jobs} jobs, buffer has {len(jobs)}")
-    if not all(map(isinstance, jobs, repeat(HadamardJob))):
-        job_id = next(k for k, job in enumerate(jobs) if not isinstance(job, HadamardJob))
-        raise PlanJobMismatch(f"buffer entry {job_id} is not a HadamardJob")
-    return list(map(sample_hadamard, jobs))
+def execute_plan(p: StackingPlan, psis: list, phis: list, shots: int, seeds: list) -> list:
+    """Run job k, sample_hadamard(psis[k], phis[k], shots, seeds[k]), in id
+    order, the order every layout keeps; seeds are job-derived, so the buffer
+    equals running each job alone."""
+    if not len(psis) == len(phis) == len(seeds) == p.total_jobs:
+        raise PlanJobMismatch(f"plan holds {p.total_jobs} jobs; psis, phis and seeds hold "
+                              f"{len(psis)}, {len(phis)} and {len(seeds)}")
+    return list(map(sample_hadamard, psis, phis, repeat(shots), seeds))
 

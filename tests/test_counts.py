@@ -6,14 +6,15 @@ minimum, and gives the same output for a NumPy integer as for a Python int
 (compared by repr, so a NumPy integer stored unconverted shows up). Each name
 site refuses an unknown name and gives the same output for an enum member as
 for its value string (compared by repr, so a string stored unconverted shows
-up). Each shot count that feeds a binomial draw stops at seeding.MAX_SHOTS.
+up). Each shot count that feeds a binomial draw stops at seeding.MAX_SHOTS. Each
+seed that becomes a Philox key gives the same draw for a NumPy integer as for
+a Python int, and refuses a float or a string.
 """
 
 import numpy as np
 import pytest
 
 from qstacker import (
-    HadamardJob,
     MatMulConfig,
     NetworkShape,
     StackingPattern,
@@ -27,6 +28,7 @@ from qstacker import (
     error_budget,
     generate_state,
     ingest_mnist_idx,
+    job_rng,
     matmul,
     plan,
     plan_jobs,
@@ -93,8 +95,7 @@ SITES = [
     ("dividend_bound.shots", lambda v, f: dividend_bound(1.0, v), 100, 0, InvalidArgument),
     ("error_budget.shots", lambda v, f: error_budget(2.0, v, mu=0.5), 100, 0, InvalidArgument),
     ("adaptive_shots.s_max", lambda v, f: adaptive_shots(0.0, 2.0, 0.1, v), 300, 0, InvalidArgument),
-    ("HadamardJob.shots", lambda v, f: sample_hadamard(HadamardJob(PSI, PHI, shots=v, seed=3)),
-     128, 0, InvalidArgument),
+    ("sample_hadamard.shots", lambda v, f: sample_hadamard(PSI, PHI, v, 3), 128, 0, InvalidArgument),
     ("plan.n", lambda v, f: plan(v, 4, StackingPattern.BATCH, 100), 3, 0, InvalidArgument),
     ("plan_jobs.num_jobs", lambda v, f: _plan_jobs(num_jobs=v), 6, -1, InvalidArgument),
     ("plan_jobs.row_len", lambda v, f: _plan_jobs(row_len=v), 3, -1, InvalidArgument),
@@ -133,7 +134,7 @@ class TestCountSites:
 # (site, call that normalises a shot count feeding a binomial draw and returns it)
 SHOT_SITES = [
     ("MatMulConfig.shots", lambda v: MatMulConfig(shots=v).shots),
-    ("HadamardJob.shots", lambda v: HadamardJob(PSI, PHI, shots=v, seed=3).shots),
+    ("sample_hadamard.shots", lambda v: sample_hadamard(PHI, PHI, v, 3)),  # mu = 1: count0 = shots
     ("TrainConfig.shots", lambda v: TrainConfig(SHAPE, shots=v).shots),
     ("variance_sweep.shots", lambda v: _sweep(shots=v)[0].shots),
 ]
@@ -146,6 +147,29 @@ def test_shots_stop_at_the_binomial_limit(call):
     assert call(MAX_SHOTS) == MAX_SHOTS
     with pytest.raises(InvalidArgument, match=f"shots must be <= {MAX_SHOTS}, got {MAX_SHOTS + 1}"):
         call(MAX_SHOTS + 1)
+
+
+# (site, call of a seed value that returns what the seed drew)
+SEED_SITES = [
+    ("generate_state.seed", lambda v: generate_state(StateFamily.NORMAL, 8, v)[1].p.tobytes()),
+    ("concentration_check.seed", lambda v: concentration_check([0.3, 0.7], 20, v)),
+    ("sample_hadamard.seed", lambda v: sample_hadamard(PSI, PHI, 1024, v)),
+    ("job_rng.seed", lambda v: job_rng(v).integers(0, 1 << 32, 4).tolist()),
+    ("split_dataset.split_seed", lambda v: split_dataset(FEATURES, LABELS, v).train_idx.tolist()),
+]
+
+
+@pytest.mark.parametrize("call", [pytest.param(site[1], id=site[0]) for site in SEED_SITES])
+class TestSeedSites:
+    """A seed becomes a Philox key through errors.as_int, as a count does."""
+
+    def test_numpy_integer_matches_int(self, call):
+        assert repr(call(np.int64(3))) == repr(call(3))
+
+    @pytest.mark.parametrize("bad", [1.5, "7"], ids=["float", "string"])
+    def test_non_integer_is_refused(self, call, bad):
+        with pytest.raises(InvalidArgument, match="seed must be an integer"):
+            call(bad)
 
 
 # (site, call of a name value, a member it accepts)

@@ -26,8 +26,8 @@ from qstacker import (
     variance_sweep,
 )
 from qstacker.cli import write_sweep_csv
-from qstacker.entropy import (LN2, _draw_probs, _isotonic_decreasing, _mean, _row_means, _row_vars,
-                              _t_two_tailed, _var, shannon_entropy)
+from qstacker.entropy import (LN2, _draw_probs, _isotonic_decreasing, _row_means, _row_vars,
+                              _t_two_tailed, shannon_entropy)
 from qstacker.errors import ConstantSeries, InvalidArgument, InvalidDistribution, NoCrossing
 from qstacker.seeding import job_rng
 from qstacker.vectors import EncodedState
@@ -373,10 +373,11 @@ class TestStatistics:
     @given(size=st.integers(2, 5000), scale=st.integers(-8, 8), shift=st.floats(-3.0, 3.0),
            seed=st.integers(0, 2**32 - 1))
     def test_mean_and_var_are_numpy_bits(self, size, scale, shift, seed):
-        # a shift of the normal's centre brings the cancellation of a sample variance
+        # a shift of the normal's centre brings the cancellation of a sample variance;
+        # a 1-D array is one row
         x = (np.random.default_rng(seed).normal(size=size) + shift) * 10.0**scale
-        assert _mean(x) == float(np.mean(x))
-        assert _var(x) == float(np.var(x, ddof=1))
+        assert float(_row_means(x)) == float(np.mean(x))
+        assert float(_row_vars(x)) == float(np.var(x, ddof=1))
 
     @settings(deadline=None, max_examples=200)
     @given(rows=st.integers(1, 40), cols=st.integers(2, 5000), scale=st.integers(-8, 8),
@@ -384,14 +385,14 @@ class TestStatistics:
     def test_row_forms_are_the_bits_of_each_row(self, rows, cols, scale, shift, seed):
         # variance_sweep reduces a whole family's (levels, reps) arrays at once
         x = (np.random.default_rng(seed).normal(size=(rows, cols)) + shift) * 10.0**scale
-        assert _row_means(x).tolist() == [_mean(r) for r in x] == [float(np.mean(r)) for r in x]
-        assert _row_vars(x).tolist() == [_var(r) for r in x] == [float(np.var(r, ddof=1)) for r in x]
+        assert _row_means(x).tolist() == [float(np.mean(r)) for r in x]
+        assert _row_vars(x).tolist() == [float(np.var(r, ddof=1)) for r in x]
 
     @pytest.mark.parametrize("x", [[1.0, 1.0], [0.0, 1e-8], [1e8, -1e8, 3.0], [0.1] * 4999])
     def test_fixed_series(self, x):
         x = np.array(x)
-        assert _mean(x) == float(np.mean(x))
-        assert _var(x) == float(np.var(x, ddof=1))
+        assert float(_row_means(x)) == float(np.mean(x))
+        assert float(_row_vars(x)) == float(np.var(x, ddof=1))
 
 
 class TestVarianceBand:

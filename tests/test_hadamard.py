@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from qstacker import (
-    HadamardJob,
     analytic_overlap,
     circuit_verify,
     derive_seed,
@@ -89,51 +88,43 @@ class TestSampling:
     def test_mu_plus_one_is_deterministic(self):
         s = encode([1.0, 1.0])
         for shots in (1, 7, 4096):
-            count0 = sample_hadamard(HadamardJob(psi=s, phi=s, shots=shots, seed=1))
+            count0 = sample_hadamard(s, s, shots, 1)
             assert type(count0) is int and count0 == shots
 
     def test_mu_minus_one_is_deterministic(self):
         psi = encode([1.0, 1.0])
         phi = encode([-1.0, -1.0])
-        count0 = sample_hadamard(HadamardJob(psi=psi, phi=phi, shots=512, seed=9))
+        count0 = sample_hadamard(psi, phi, 512, 9)
         assert count0 == 0
 
     def test_mu_zero_fixture(self):
         # frozen count for this exact job; the 5-sigma band is the
         # independent statistical check on the sampler
-        job = HadamardJob(
-            psi=encode([1.0, 0.0]),
-            phi=encode([0.0, 1.0]),
-            shots=65536,
-            seed=derive_seed(2024, 0),
-        )
-        count0 = sample_hadamard(job)
+        count0 = sample_hadamard(encode([1.0, 0.0]), encode([0.0, 1.0]), 65536, derive_seed(2024, 0))
         assert count0 == 32698
         assert abs(count0 / 65536 - 0.5) <= 5 * np.sqrt(0.25 / 65536)
 
     def test_determinism(self):
         rng = np.random.default_rng(6)
         psi, phi = random_pair(rng, 8)
-        job = HadamardJob(psi=psi, phi=phi, shots=2048, seed=77)
-        assert sample_hadamard(job) == sample_hadamard(job)
+        assert sample_hadamard(psi, phi, 2048, 77) == sample_hadamard(psi, phi, 2048, 77)
 
     def test_seed_changes_counts(self):
         rng = np.random.default_rng(7)
         psi, phi = random_pair(rng, 8)
-        a = sample_hadamard(HadamardJob(psi=psi, phi=phi, shots=4096, seed=1))
-        b = sample_hadamard(HadamardJob(psi=psi, phi=phi, shots=4096, seed=2))
+        a = sample_hadamard(psi, phi, 4096, 1)
+        b = sample_hadamard(psi, phi, 4096, 2)
         assert a != b
 
     def test_counts_sum_to_shots(self):
         rng = np.random.default_rng(8)
         psi, phi = random_pair(rng, 4)
-        count0 = sample_hadamard(HadamardJob(psi=psi, phi=phi, shots=999, seed=3))
+        count0 = sample_hadamard(psi, phi, 999, 3)
         assert type(count0) is int and 0 <= count0 <= 999
 
     def test_dim_mismatch_is_refused_when_the_job_runs(self):
-        job = HadamardJob(psi=encode([1, 0]), phi=encode([1, 0, 0]), shots=4, seed=1)
         with pytest.raises(ShapeMismatch, match="2 != 3"):
-            sample_hadamard(job)
+            sample_hadamard(encode([1, 0]), encode([1, 0, 0]), 4, 1)
 
 
 class TestEstimate:
@@ -176,12 +167,7 @@ class TestEstimate:
         mu = analytic_overlap(psi, phi)
         reps, shots = 1000, 1024
         zs = [
-            estimate(
-                sample_hadamard(
-                    HadamardJob(psi=psi, phi=phi, shots=shots, seed=derive_seed(10, k))
-                ),
-                shots,
-            )
+            estimate(sample_hadamard(psi, phi, shots, derive_seed(10, k)), shots)
             for k in range(reps)
         ]
         tol = 4 * np.sqrt((1 - mu * mu) / (shots * reps))
@@ -262,10 +248,7 @@ class TestSwapComparator:
             if mu < -0.2:
                 break
         zs = [
-            estimate(
-                sample_hadamard(HadamardJob(psi=psi, phi=phi, shots=1024, seed=derive_seed(15, k))),
-                1024,
-            )
+            estimate(sample_hadamard(psi, phi, 1024, derive_seed(15, k)), 1024)
             for k in range(300)
         ]
         assert np.mean(zs) < 0  # the comparator's square hides exactly this

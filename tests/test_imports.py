@@ -69,13 +69,13 @@ def test_an_unused_import_is_reported():
         "import json\n"
         "import os.path\n"
         "import numpy as np\n"
-        "from .hadamard import HadamardJob, estimate\n"
+        "from .vectors import EncodedState, encode\n"
         "x = np.zeros(3)\n"
         "y = os.path.join('a', 'b')\n"
-        "def f(job: HadamardJob):\n"
-        "    return job\n"
+        "def f(state: EncodedState):\n"
+        "    return state\n"
     )
-    assert unused_imports(source) == ["line 2: json", "line 5: estimate"]
+    assert unused_imports(source) == ["line 2: json", "line 5: encode"]
 
 
 TAXONOMY = {name for name, obj in vars(errors).items()

@@ -19,12 +19,12 @@ from qstacker import (
     encode,
     error_budget,
     estimate,
+    job_rng,
     matmul,
 )
 from qstacker.cli import summary_dict, write_result_csv, write_summary_json
 from qstacker.errors import InvalidArgument, NonFiniteInput, ShapeMismatch
 from qstacker.matio import read_matrix_csv, write_matrix_csv
-from qstacker.seeding import job_binomial
 from qstacker.stacking import qubits_per_test
 
 
@@ -267,7 +267,7 @@ class TestPerElementReference:
                 if psi.is_zero or phi.is_zero:
                     continue
                 want_mu[i, j] = analytic_overlap(psi, phi)
-                count0 = job_binomial(derive_seed(seed, i, j), shots, (1.0 + want_mu[i, j]) / 2.0)
+                count0 = int(job_rng(derive_seed(seed, i, j)).binomial(shots, (1.0 + want_mu[i, j]) / 2.0))
                 want_z[i, j] = estimate(count0, shots)
                 want_c[i, j] = psi.source_norm * phi.source_norm * want_z[i, j]
         r = matmul(a, b, MatMulConfig(shots=shots, seed=seed))

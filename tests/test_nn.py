@@ -94,7 +94,7 @@ class TestForward:
         import qstacker.stacking
 
         dispatched = []
-        monkeypatch.setattr(qstacker.stacking, "sample_hadamard", dispatched.append)
+        monkeypatch.setattr(qstacker.stacking, "sample_hadamard", lambda *args: dispatched.append(args))
         model = Model(w1=np.ones((4, 4)), w2=np.ones((3, 4)))
         data = tiny_dataset()
         with pytest.raises(ValueError, match="mode must be one of classical, quantum, got 'Classical'"):

@@ -7,44 +7,67 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qstacker import HadamardJob, MatMulConfig, derive_seed, encode, job_rng, matmul, sample_hadamard
-from qstacker.seeding import _streams, job_binomial, random_signs, rekeyed_rng, splitmix64
+from qstacker import MatMulConfig, analytic_overlap, derive_seed, encode, job_rng, matmul, sample_hadamard
+from qstacker.seeding import _streams, random_signs, rekeyed_rng, splitmix64
 
 seeds = st.integers(min_value=0, max_value=(1 << 64) - 1)
 shot_counts = st.sampled_from([1, 2, 1024, 1 << 20]) | st.integers(min_value=1, max_value=1 << 40)
 probabilities = st.sampled_from([0.0, 1e-9, 0.5, 1.0 - 1e-9, 1.0]) | st.floats(
     min_value=0.0, max_value=1.0
 )
+# overlaps at and next to +/-1 give p0 at and next to 0 and 1
+overlaps = st.sampled_from([-1.0, -1.0 + 2e-9, 0.0, 1.0 - 2e-9, 1.0]) | st.floats(
+    min_value=-1.0, max_value=1.0
+)
+
+
+def _pair(mu):
+    """Two 2-dimensional states whose overlap is mu up to the encoding's rounding."""
+    return encode([1.0, 0.0]), encode([mu, np.sqrt(1.0 - mu * mu)])
+
+
+def _fresh_draw(psi, phi, shots, seed):
+    """sample_hadamard's count from a new generator, without the re-keyed one."""
+    return int(job_rng(seed).binomial(shots, (1.0 + analytic_overlap(psi, phi)) / 2.0))
 
 
 class TestJobBinomial:
+    """sample_hadamard draws on the re-keyed `job_binomial` stream what job_rng draws."""
+
     @settings(deadline=None, max_examples=300)
-    @given(seed=seeds, shots=shot_counts, p0=probabilities)
-    def test_equals_a_fresh_job_rng_draw(self, seed, shots, p0):
-        assert job_binomial(seed, shots, p0) == job_rng(seed).binomial(shots, p0)
+    @given(seed=seeds, shots=shot_counts, mu=overlaps)
+    def test_equals_a_fresh_job_rng_draw(self, seed, shots, mu):
+        psi, phi = _pair(mu)
+        assert sample_hadamard(psi, phi, shots, seed) == _fresh_draw(psi, phi, shots, seed)
 
     @settings(deadline=None)
-    @given(st.lists(st.tuples(seeds, shot_counts, probabilities), min_size=2, max_size=30))
+    @given(st.lists(st.tuples(seeds, shot_counts, overlaps), min_size=2, max_size=30))
     def test_interleaved_parameters_match_fresh_draws(self, calls):
         # changing (S, p0) between calls exercises the Generator's binomial setup cache
-        got = [job_binomial(seed, shots, p0) for seed, shots, p0 in calls]
-        assert got == [int(job_rng(seed).binomial(shots, p0)) for seed, shots, p0 in calls]
+        jobs = [(*_pair(mu), shots, seed) for seed, shots, mu in calls]
+        assert [sample_hadamard(*job) for job in jobs] == [_fresh_draw(*job) for job in jobs]
+
+    @pytest.mark.parametrize("mu, shots", [(m, s) for m in (-1.0, 1.0) for s in (1, 1 << 20)])
+    def test_certain_outcomes(self, mu, shots):
+        psi, phi = _pair(mu)
+        count0 = sample_hadamard(psi, phi, shots, 11)
+        assert count0 == _fresh_draw(psi, phi, shots, 11) == (shots if mu > 0 else 0)
 
     def test_threads_on_disjoint_jobs_match_serial(self):
         rng = np.random.default_rng(21)
         states = [encode(rng.normal(size=8)) for _ in range(12)]
         jobs = [
-            HadamardJob(psi=states[k % 12], phi=states[(5 * k + 1) % 12],
-                        shots=(1, 1024, 1 << 20)[k % 3], seed=derive_seed(4, k))
+            (states[k % 12], states[(5 * k + 1) % 12], (1, 1024, 1 << 20)[k % 3], derive_seed(4, k))
             for k in range(600)
         ]
-        serial = [sample_hadamard(job) for job in jobs]
+        serial = [sample_hadamard(*job) for job in jobs]
+        assert serial == [_fresh_draw(*job) for job in jobs]
         workers = 4  # more threads than cores, each on its own slice
         out = [None] * len(jobs)
 
         def run(part):
             for k in range(part, len(jobs), workers):
-                out[k] = sample_hadamard(jobs[k])
+                out[k] = sample_hadamard(*jobs[k])
 
         threads = [threading.Thread(target=run, args=(p,)) for p in range(workers)]
         interval = sys.getswitchinterval()

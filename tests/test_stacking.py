@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qstacker import (
-    HadamardJob,
     StackingPattern,
     complexity_report,
     derive_seed,
@@ -116,47 +115,51 @@ class TestComplexityReport:
             complexity_report(plan(2, 4, P.VERTICAL, 100), 1.5)
 
 
-def make_jobs(n, dim, seed, shots=1024):
+def make_jobs(n, dim, seed):
+    """(psis, phis, seeds) of an n x n buffer of jobs on random states."""
     rng = np.random.default_rng(seed)
-    jobs = []
+    psis, phis, seeds = [], [], []
     for i in range(n):
         for j in range(n):
-            jobs.append(
-                HadamardJob(
-                    psi=encode(rng.normal(size=dim)),
-                    phi=encode(rng.normal(size=dim)),
-                    shots=shots,
-                    seed=derive_seed(seed, i, j),
-                )
-            )
-    return jobs
+            psis.append(encode(rng.normal(size=dim)))
+            phis.append(encode(rng.normal(size=dim)))
+            seeds.append(derive_seed(seed, i, j))
+    return psis, phis, seeds
 
 
 class TestExecutePlan:
     def test_empty_buffer(self):
         p = plan_jobs(0, 1, 4, P.VERTICAL, 100)
-        assert execute_plan(p, []) == []
+        assert execute_plan(p, [], [], 1024, []) == []
 
     def test_results_equal_standalone_calls(self):
-        jobs = make_jobs(4, 4, seed=31)
+        psis, phis, seeds = make_jobs(4, 4, seed=31)
         p = plan(4, 4, P.BALANCED, 10**9)
-        results = execute_plan(p, jobs)
-        standalone = [sample_hadamard(job) for job in jobs]
+        results = execute_plan(p, psis, phis, 1024, seeds)
+        standalone = [sample_hadamard(psi, phi, 1024, s) for psi, phi, s in zip(psis, phis, seeds)]
         assert results == standalone
 
     def test_pattern_equivalence(self):
-        jobs = make_jobs(3, 8, seed=32)
+        psis, phis, seeds = make_jobs(3, 8, seed=32)
         buffers = []
         for pattern in P:
             p = plan(3, 8, pattern, 16)
-            buffers.append(execute_plan(p, jobs))
+            buffers.append(execute_plan(p, psis, phis, 1024, seeds))
         assert all(buf == buffers[0] for buf in buffers[1:])
 
     def test_job_count_mismatch(self):
-        jobs = make_jobs(2, 4, seed=34)
+        psis, phis, seeds = make_jobs(2, 4, seed=34)
         p = plan(3, 4, P.VERTICAL, 10**9)
-        with pytest.raises(PlanJobMismatch):
-            execute_plan(p, jobs)
+        with pytest.raises(PlanJobMismatch, match="plan holds 9 jobs; psis, phis and seeds hold 4, 4 and 4"):
+            execute_plan(p, psis, phis, 1024, seeds)
+
+    @pytest.mark.parametrize("short", [0, 1, 2], ids=["psis", "phis", "seeds"])
+    def test_one_short_list_is_a_mismatch(self, short):
+        jobs = list(make_jobs(2, 4, seed=35))
+        jobs[short] = jobs[short][:-1]
+        p = plan(2, 4, P.VERTICAL, 10**9)
+        with pytest.raises(PlanJobMismatch, match="plan holds 4 jobs"):
+            execute_plan(p, jobs[0], jobs[1], 1024, jobs[2])
 
 
 class TestPlanExport:
