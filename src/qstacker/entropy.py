@@ -27,9 +27,9 @@ variance_sweep allocates its buffers once per family: one sign matrix that
 every level overwrites, the (levels, repetitions) overlaps and estimates, and
 one p0 row. A RESIGNED level draws only its state's probabilities
 (_draw_probs), whose bits are generate_state's. After the last level, each
-statistic is computed for the whole family at once, as row-wise
-np.add.reduce forms of np.mean and np.var that equal them row by row, bit
-for bit; so every record keeps the bits of a fresh per-level loop.
+statistic is computed for the whole family at once by np.mean and np.var
+along the last axis, which give each row's own np.mean and np.var bit for
+bit; so every record keeps the bits of a fresh per-level loop.
 """
 
 from __future__ import annotations
@@ -239,20 +239,6 @@ class SweepRecord:
     repetitions: int
 
 
-def _row_means(x: np.ndarray) -> np.ndarray:
-    """np.mean(x, axis=-1) of a C-contiguous float64 array, bit for bit,
-    without its dispatch: each row's pairwise sum over its size."""
-    return np.add.reduce(x, axis=-1) / x.shape[-1]
-
-
-def _row_vars(x: np.ndarray) -> np.ndarray:
-    """np.var(x, axis=-1, ddof=1) of a C-contiguous float64 array, bit for bit:
-    the same pairwise sums of the same squared deviations from the same means."""
-    dev = x - _row_means(x)[..., None]
-    dev *= dev
-    return np.add.reduce(dev, axis=-1) / (x.shape[-1] - 1)
-
-
 def sweep_levels(family: StateFamily, count: int, dim: int) -> list:
     """variance_sweep's levels: t in [0, 1] for interpolated, support sizes 1..dim
     spaced geometrically for uniform, exponential and chisquare."""
@@ -290,7 +276,7 @@ def variance_sweep(
     repetitions = as_int(repetitions, "repetitions", minimum=2)
     dim = _state_dim(dim)
     levels = list(levels)
-    coords = np.arange(len(levels), dtype=np.uint64)
+    coords = np.arange(len(levels))
     state_seeds = derive_seed(seed, coords).tolist()
     level_seeds = derive_seed(seed, coords, 1).tolist()
     # the sweep's buffers, allocated once: a level only draws into them
@@ -321,11 +307,11 @@ def variance_sweep(
         np.minimum(p0, 1.0, out=p0)
         np.maximum(p0, 0.0, out=p0)
         z[j] = estimate(rng.binomial(shots, p0), shots)
-    # each level's statistics are a row of these, bit for bit as np.mean and np.var(ddof=1)
-    empirical = _row_means((z - mus) ** 2).tolist()
-    overlap = _row_vars(mus).tolist()
-    total = _row_vars(z).tolist()
-    mean_sq = _row_means(mus**2).tolist()
+    # each level's statistics are a row of these, bit for bit as the row's own np.mean and np.var
+    empirical = np.mean((z - mus) ** 2, axis=-1).tolist()
+    overlap = np.var(mus, axis=-1, ddof=1).tolist()
+    total = np.var(z, axis=-1, ddof=1).tolist()
+    mean_sq = np.mean(mus**2, axis=-1).tolist()
     records = []
     for j, (level, dist) in enumerate(zip(levels, dists)):
         h = shannon_entropy(dist.p)

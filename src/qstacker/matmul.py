@@ -90,7 +90,7 @@ def _sample(a_rows, b_cols, cfg: MatMulConfig):
     row_states, col_states = prepare_all(a_rows, b_cols)
     live = (a_mant != 0.0)[:, None] & (b_mant != 0.0)
     live_i, live_j = np.nonzero(live)  # job ids in row-major order
-    seeds = derive_seed(cfg.seed, live_i.astype(np.uint64), live_j.astype(np.uint64)).tolist()
+    seeds = derive_seed(cfg.seed, live_i, live_j).tolist()
     psis = list(map(row_states.__getitem__, live_i.tolist()))
     phis = list(map(col_states.__getitem__, live_j.tolist()))
     the_plan = plan_jobs(len(seeds), len(b_mant), a_rows[0].shape[1], cfg.pattern, cfg.qubit_budget)

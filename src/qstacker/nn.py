@@ -256,6 +256,7 @@ def split_dataset(
     train and the next `counts[1]` test."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
+    split_seed = as_int(split_seed, "split_seed")
     if len(features) != len(labels) or len(labels) == 0:
         raise EmptyDataset("features and labels must be nonempty and aligned")
     # refused rather than truncated, as as_int refuses a float count

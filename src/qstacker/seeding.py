@@ -26,12 +26,11 @@ a buffer the caller may reuse.
 from __future__ import annotations
 
 import math
-import operator
 import threading
 
 import numpy as np
 
-from .errors import as_int
+from .errors import InvalidArgument, as_int
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _INIT = 0x243F6A8885A308D3  # pi fractional bits, arbitrary nonzero start
@@ -68,34 +67,46 @@ def _splitmix64_into(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _key(seed) -> int:
+    """seed mod 2^64: the one rule that makes a seed or scalar coordinate key
+    material. A plain int skips as_int (one call per sampled element); a NumPy
+    integer gives the Python int's key, and a float or string raises."""
+    if type(seed) is not int:
+        seed = as_int(seed, "seed")
+    return seed & _MASK
+
+
 def derive_seed(master: int, *coords: int | np.ndarray) -> int | np.ndarray:
     """Fold a master seed and integer coordinates into one 64-bit seed.
 
     Deterministic, order-sensitive, and well-separated: (m, i, j) and
-    (m, j, i) yield unrelated streams. Coordinates may also be uint64 arrays,
-    0-d ones included, which broadcast against each other and give, element by element, the seed
-    of the scalar chain; matmul derives every element seed in one such call.
-    Any integer master (NumPy scalars and negatives included) is reduced mod
-    2^64 as a Python int.
+    (m, j, i) yield unrelated streams. The master and each scalar coordinate
+    go through _key. A coordinate may also be an array of any integer dtype,
+    0-d included, cast once to uint64 (mod 2^64, as _key reduces an int);
+    arrays broadcast against each other and give, element by element, the
+    seed of the scalar chain, so matmul derives every element seed in one
+    call. A non-integer array raises InvalidArgument.
     """
-    state = splitmix64((_INIT ^ (operator.index(master) & _MASK)) & _MASK)
+    state = splitmix64(_INIT ^ _key(master))
     for c in coords:
+        if isinstance(c, np.ndarray):
+            if c.dtype.kind not in "iu":
+                raise InvalidArgument(f"seed must be an integer, got dtype {c.dtype}")
+            c = c.astype(np.uint64, copy=False)
+        else:
+            c = _key(c)
         if isinstance(state, np.ndarray) or isinstance(c, np.ndarray):
             # xor's new array, not c; asarray keeps a 0-d result an array, since
             # scalar arithmetic warns where array arithmetic wraps silently
             state = _splitmix64_into(np.asarray(np.bitwise_xor(state, c)))
         else:
-            state = splitmix64((state ^ (c & _MASK)) & _MASK)
+            state = splitmix64(state ^ c)
     return state
 
 
 def job_rng(seed: int) -> np.random.Generator:
-    """Counter-based generator for one sampling job, keyed by seed mod 2^64.
-    A NumPy integer seed gives the Python int's stream; a seed that as_int
-    refuses raises InvalidArgument."""
-    if type(seed) is not int:
-        seed = as_int(seed, "seed")
-    return np.random.Generator(np.random.Philox(key=seed & _MASK))
+    """Counter-based generator for one sampling job, keyed by _key(seed)."""
+    return np.random.Generator(np.random.Philox(key=_key(seed)))
 
 
 _streams = threading.local()  # per thread, one re-keyed generator per stream name
@@ -123,9 +134,7 @@ def rekeyed_rng(seed: int, stream: str) -> np.random.Generator:
         gen = np.random.Generator(bitgen)
         state = _plain(bitgen.state)
         setattr(_streams, stream, (bitgen, gen, state))
-    if type(seed) is not int:  # one call per sampled element: a plain int skips as_int
-        seed = as_int(seed, "seed")
-    state["state"]["key"][0] = seed & _MASK
+    state["state"]["key"][0] = _key(seed)
     bitgen.state = state
     return gen
 

@@ -7,8 +7,9 @@ minimum, and gives the same output for a NumPy integer as for a Python int
 site refuses an unknown name and gives the same output for an enum member as
 for its value string (compared by repr, so a string stored unconverted shows
 up). Each shot count that feeds a binomial draw stops at seeding.MAX_SHOTS. Each
-seed that becomes a Philox key gives the same draw for a NumPy integer as for
-a Python int, and refuses a float or a string.
+seed site (a Philox key, a derive_seed master or coordinate, a stored split
+seed) gives the same output for a NumPy integer as for a Python int, and
+refuses a float or a string.
 """
 
 import numpy as np
@@ -23,11 +24,14 @@ from qstacker import (
     TrainConfig,
     adaptive_shots,
     concentration_check,
+    derive_seed,
     dividend_bound,
     encode,
     error_budget,
+    forward,
     generate_state,
     ingest_mnist_idx,
+    init_model,
     job_rng,
     matmul,
     plan,
@@ -50,9 +54,9 @@ LABELS = np.arange(10) % 2
 
 
 def _sweep(**kwargs):
-    args = dict(shots=64, repetitions=10)
+    args = dict(shots=64, repetitions=10, seed=5)
     args.update(kwargs)
-    return variance_sweep(StateFamily.UNIFORM, [2, 4], dim=8, seed=5, **args)
+    return variance_sweep(StateFamily.UNIFORM, [2, 4], dim=8, **args)
 
 
 def _product(budget):
@@ -156,12 +160,18 @@ SEED_SITES = [
     ("sample_hadamard.seed", lambda v: sample_hadamard(PSI, PHI, 1024, v)),
     ("job_rng.seed", lambda v: job_rng(v).integers(0, 1 << 32, 4).tolist()),
     ("split_dataset.split_seed", lambda v: split_dataset(FEATURES, LABELS, v).train_idx.tolist()),
+    ("split_dataset.split_seed.counts", lambda v: split_dataset(FEATURES, LABELS, v, counts=(4, 3)).split_seed),
+    ("derive_seed.master", lambda v: derive_seed(v, 1)),
+    ("derive_seed.coordinate", lambda v: derive_seed(1, v, 2)),
+    ("variance_sweep.seed", lambda v: _sweep(seed=v)),
+    ("init_model.seed", lambda v: init_model(SHAPE, seed=v).w1.tobytes()),
+    ("forward.seed", lambda v: forward(init_model(SHAPE, 1), np.ones((2, 4)), "quantum", 64, v)[0].tobytes()),
 ]
 
 
 @pytest.mark.parametrize("call", [pytest.param(site[1], id=site[0]) for site in SEED_SITES])
 class TestSeedSites:
-    """A seed becomes a Philox key through errors.as_int, as a count does."""
+    """A seed or seed coordinate goes through errors.as_int, as a count does."""
 
     def test_numpy_integer_matches_int(self, call):
         assert repr(call(np.int64(3))) == repr(call(3))

@@ -26,7 +26,7 @@ from qstacker import (
     variance_sweep,
 )
 from qstacker.cli import write_sweep_csv
-from qstacker.entropy import (LN2, _draw_probs, _isotonic_decreasing, _row_means, _row_vars,
+from qstacker.entropy import (LN2, _draw_probs, _isotonic_decreasing,
                               _t_two_tailed, shannon_entropy)
 from qstacker.errors import ConstantSeries, InvalidArgument, InvalidDistribution, NoCrossing
 from qstacker.seeding import job_rng
@@ -368,31 +368,25 @@ def test_sweep_equals_the_per_level_reference(family, pairing, dim, reps, count)
     assert [repr(r) for r in ours] == [repr(r) for r in want]
 
 
-class TestStatistics:
-    @settings(deadline=None, max_examples=300)
-    @given(size=st.integers(2, 5000), scale=st.integers(-8, 8), shift=st.floats(-3.0, 3.0),
-           seed=st.integers(0, 2**32 - 1))
-    def test_mean_and_var_are_numpy_bits(self, size, scale, shift, seed):
-        # a shift of the normal's centre brings the cancellation of a sample variance;
-        # a 1-D array is one row
-        x = (np.random.default_rng(seed).normal(size=size) + shift) * 10.0**scale
-        assert float(_row_means(x)) == float(np.mean(x))
-        assert float(_row_vars(x)) == float(np.var(x, ddof=1))
+def _assert_row_forms(x):
+    assert np.mean(x, axis=-1).tolist() == [float(np.mean(r)) for r in x]
+    assert np.var(x, axis=-1, ddof=1).tolist() == [float(np.var(r, ddof=1)) for r in x]
 
+
+class TestStatistics:
     @settings(deadline=None, max_examples=200)
     @given(rows=st.integers(1, 40), cols=st.integers(2, 5000), scale=st.integers(-8, 8),
            shift=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
     def test_row_forms_are_the_bits_of_each_row(self, rows, cols, scale, shift, seed):
-        # variance_sweep reduces a whole family's (levels, reps) arrays at once
+        # variance_sweep reduces a whole family's (levels, reps) arrays along the last
+        # axis; a shift of the normal's centre brings the cancellation of a sample variance
         x = (np.random.default_rng(seed).normal(size=(rows, cols)) + shift) * 10.0**scale
-        assert _row_means(x).tolist() == [float(np.mean(r)) for r in x]
-        assert _row_vars(x).tolist() == [float(np.var(r, ddof=1)) for r in x]
+        _assert_row_forms(x)
 
     @pytest.mark.parametrize("x", [[1.0, 1.0], [0.0, 1e-8], [1e8, -1e8, 3.0], [0.1] * 4999])
     def test_fixed_series(self, x):
-        x = np.array(x)
-        assert float(_row_means(x)) == float(np.mean(x))
-        assert float(_row_vars(x)) == float(np.var(x, ddof=1))
+        # each series as a one-row array
+        _assert_row_forms(np.array([x]))
 
 
 class TestVarianceBand:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qstacker import MatMulConfig, analytic_overlap, derive_seed, encode, job_rng, matmul, sample_hadamard
+from qstacker.errors import InvalidArgument
 from qstacker.seeding import _streams, random_signs, rekeyed_rng, splitmix64
 
 seeds = st.integers(min_value=0, max_value=(1 << 64) - 1)
@@ -230,6 +231,25 @@ class TestDeriveSeedArrays:
             assert mixed.tolist() == [derive_seed(master, top, 2, x, 7) for x in xs]
             assert first.tolist() == [derive_seed(master, x, 0) for x in xs]
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+    def test_signed_arrays_equal_the_scalar_chain(self, dtype):
+        # negatives reduce mod 2^64, as a negative int does
+        rows = np.arange(-4, 5, dtype=dtype)[:, None]
+        cols = np.array([0, -1, 2, np.iinfo(dtype).min, np.iinfo(dtype).max], dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = derive_seed(7, rows, cols, np.array(-2, dtype=dtype))
+        assert grid.dtype == np.uint64
+        assert grid.tolist() == [[derive_seed(7, int(i), int(j), -2) for j in cols] for i in rows[:, 0]]
+
+    @pytest.mark.parametrize("coord", [np.arange(3.0), np.array([True, False]), np.array(2.0)],
+                             ids=["float64", "bool", "0-d float64"])
+    def test_non_integer_arrays_are_refused(self, coord):
+        with pytest.raises(InvalidArgument, match="seed must be an integer"):
+            derive_seed(1, coord)
+        with pytest.raises(InvalidArgument, match="seed must be an integer"):
+            derive_seed(1, np.arange(3), coord)
+
 
 class TestNumpyIntegerMasters:
     @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint64])
@@ -241,6 +261,8 @@ class TestNumpyIntegerMasters:
             warnings.simplefilter("error")
             assert derive_seed(dtype(master), 1, 2) == derive_seed(master, 1, 2)
             assert derive_seed(dtype(master)) == derive_seed(master)
+            # a coordinate follows the master's rule
+            assert derive_seed(1, dtype(master), 2) == derive_seed(1, master, 2)
 
     def test_matmul_with_an_int64_seed_equals_the_int_seed(self):
         rng = np.random.default_rng(23)
