@@ -17,11 +17,11 @@ This module generates state families, runs the sweeps, and provides the
 correlation/crossing statistics used to verify both effects, plus the
 entropy-driven shot scheduler.
 
-Each state, sweep level and concentration check draws from a re-keyed
-generator (seeding.rekeyed_rng), the stream job_rng would build; the sweep's
-level stream and generate_state's are distinct objects, since the partner of
-an INDEPENDENT level is drawn while the level's stream is live. Sign matrices
-come from raw Philox words (seeding.random_signs).
+Each state, sweep level and concentration check draws from the thread's
+re-keyed generator (seeding.rekeyed_rng), the stream job_rng would build. A
+sweep level draws its states first and re-keys for its own stream after them,
+so no two streams are ever live at once. Sign matrices come from raw Philox
+words (seeding.random_signs).
 
 variance_sweep allocates its buffers once per family: one sign matrix that
 every level overwrites, the (levels, repetitions) overlaps and estimates, and
@@ -155,7 +155,7 @@ def _draw_probs(
     """generate_state's probabilities for a validated family and n, with the
     generator positioned after them: p is drawn before the signs on the same
     stream, so it keeps its bits when the signs are not drawn."""
-    rng = rekeyed_rng(seed, "generate_state")
+    rng = rekeyed_rng(seed)
     p = np.zeros(n)
     if family is StateFamily.INTERPOLATED:
         if t is None:
@@ -288,18 +288,19 @@ def variance_sweep(
     for j, level in enumerate(levels):
         # the interpolated family is swept by t, every other family by support size
         shape = {"t": float(level)} if family is StateFamily.INTERPOLATED else {"support": level}
-        # a stream of its own: generate_state re-keys its generator for the
-        # INDEPENDENT partner while this one is live
-        rng = rekeyed_rng(level_seeds[j], "variance_sweep")
+        # the level's states come first: each re-keys the thread's generator,
+        # so the level's own stream is keyed only after them
         if pairing is SweepPairing.RESIGNED:
             # the state's own signs never enter mu, so only p is drawn
             dist, _ = _draw_probs(family, dim, state_seeds[j], **shape)
+            rng = rekeyed_rng(level_seeds[j])
             random_signs(rng, taus.shape, out=taus)
             np.matmul(taus, dist.p, out=mus[j])  # <psi| V_b |psi> = sum_i p_i tau_bi
         else:
             psi, dist = generate_state(family, dim, state_seeds[j], **shape)
             phi, _ = generate_state(family, dim, derive_seed(seed, j, 2), **shape)
             mus[j] = float(np.dot(psi.amplitudes, phi.amplitudes))
+            rng = rekeyed_rng(level_seeds[j])
         dists.append(dist)
         # np.clip((1 + mu)/2, 0, 1), in place
         np.add(mus[j], 1.0, out=p0)
@@ -452,9 +453,13 @@ def _isotonic_decreasing(y: np.ndarray) -> np.ndarray:
 
 
 def _sweep_points(sweep):
+    """A sweep's (entropy, variance) points sorted by entropy, as two arrays;
+    a non-finite entropy or variance raises, as it does in pearson."""
     pairs = ((r.entropy_nats, r.total_variance) if isinstance(r, SweepRecord) else r for r in sweep)
     pts = sorted((float(h), float(v)) for h, v in pairs)
     x, y = np.array(pts, dtype=np.float64).reshape(-1, 2).T
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise InvalidArgument("sweep entropies and variances must be finite")
     return x, y
 
 
@@ -537,7 +542,7 @@ def concentration_check(
     if not isinstance(dist, ProbDist):
         dist = ProbDist(dist)
     trials = as_int(trials, "trials", minimum=2)
-    signs = random_signs(rekeyed_rng(seed, "concentration_check"), (trials, dist.n))
+    signs = random_signs(rekeyed_rng(seed), (trials, dist.n))
     mus = signs @ dist.p
     sq = mus**2
     est = float(np.mean(sq))

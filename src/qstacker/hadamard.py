@@ -6,7 +6,8 @@ Two execution paths compute the same distribution:
     p0 = (1 + <psi|phi>)/2 exactly, so one sample_hadamard(psi, phi, S, seed)
     call draws the shot outcomes from Binomial(S, p0) on the element's own
     counter-based stream (its Philox key is the seed; seeding.rekeyed_rng
-    resets a per-thread generator to it);
+    resets the thread's one generator to it, and the draw is done before
+    the next re-key);
   * verification path (circuit_verify): an explicit (n+1)-qubit statevector
     simulation of the ancilla-Hadamard / controlled-unitary / ancilla-Hadamard
     circuit, used as an oracle that the analytic shortcut is the true
@@ -55,7 +56,7 @@ def sample_hadamard(psi: EncodedState, phi: EncodedState, shots: int, seed: int)
         shots = as_int(shots, "shots", minimum=1, maximum=MAX_SHOTS)
     mu = analytic_overlap(psi, phi)
     # p0 lies in [0, 1]: mu is clamped to [-1, 1], rounding is monotone, 0 and 2 are exact
-    return int(rekeyed_rng(seed, "job_binomial").binomial(shots, (1.0 + mu) / 2.0))
+    return int(rekeyed_rng(seed).binomial(shots, (1.0 + mu) / 2.0))
 
 
 def estimate(count0, shots: int):

@@ -254,10 +254,13 @@ def split_dataset(
     """Train/test split; stratified by label (80% of each class trains)
     unless counts are given, in which case the first `counts[0]` samples
     train and the next `counts[1]` test."""
-    features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     split_seed = as_int(split_seed, "split_seed")
-    if len(features) != len(labels) or len(labels) == 0:
+    # no samples is EmptyDataset, ahead of _finite's ShapeMismatch for size 0
+    if np.size(features) == 0 or len(labels) == 0:
+        raise EmptyDataset("features and labels must be nonempty and aligned")
+    features = _finite(features, 2, "feature matrix")
+    if len(features) != len(labels):
         raise EmptyDataset("features and labels must be nonempty and aligned")
     # refused rather than truncated, as as_int refuses a float count
     if not np.issubdtype(labels.dtype, np.integer):

@@ -8,10 +8,11 @@ execution order or on how jobs are grouped into cycles.
 A Philox stream is fully set by its key and counter (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC'11), so a generator reset
 to key (seed, 0), counter zero and an empty buffer draws exactly what
-job_rng(seed) draws. rekeyed_rng resets a per-thread generator that way
-instead of building a new one, whose constructor gathers OS entropy for a
-SeedSequence it then discards; hadamard.sample_hadamard draws each sampled
-element's count from it.
+job_rng(seed) draws. rekeyed_rng resets the calling thread's one generator
+that way instead of building a new one, whose constructor gathers OS entropy
+for a SeedSequence it then discards; hadamard.sample_hadamard draws each
+sampled element's count from it. A re-keyed stream lasts until the thread's
+next rekeyed_rng call, so each caller finishes its draws before it re-keys.
 The reset state it keeps is a fresh Philox(key=0).state, field names and all,
 with its uint64 arrays as lists of Python ints: the state setter reads each
 counter, key and buffer entry one by one, and from a list of Python ints that
@@ -42,13 +43,9 @@ _GAMMA, _MIX1, _MIX2 = (np.uint64(c) for c in (0x9E3779B97F4A7C15, 0xBF58476D1CE
 _SHIFT30, _SHIFT27, _SHIFT31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 
-def splitmix64(x: int | np.ndarray) -> int | np.ndarray:
-    """One splitmix64 step: well-mixed 64-bit output for a 64-bit input.
-
-    Accepts a Python int or a uint64 array (elementwise, wrapping mod 2^64).
-    """
-    if isinstance(x, np.ndarray):
-        return _splitmix64_into(x.copy())
+def splitmix64(x: int) -> int:
+    """One splitmix64 step: well-mixed 64-bit output for a 64-bit Python int.
+    _splitmix64_into is the same step for a uint64 array."""
     z = (x + 0x9E3779B97F4A7C15) & _MASK
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
@@ -109,7 +106,7 @@ def job_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_key(seed)))
 
 
-_streams = threading.local()  # per thread, one re-keyed generator per stream name
+_slot = threading.local()  # per thread, the one re-keyed generator
 
 
 def _plain(state):
@@ -119,21 +116,20 @@ def _plain(state):
     return state.tolist() if isinstance(state, np.ndarray) else state
 
 
-def rekeyed_rng(seed: int, stream: str) -> np.random.Generator:
-    """Generator `stream` of the calling thread, reset to job_rng(seed)'s start
-    state: key (seed, 0), counter zero and an empty buffer.
+def rekeyed_rng(seed: int) -> np.random.Generator:
+    """The calling thread's generator, reset to job_rng(seed)'s start state:
+    key (seed, 0), counter zero and an empty buffer.
 
-    It draws exactly what job_rng(seed) draws. The next call with the same
-    stream name on the same thread resets the same object, so code that keeps
-    two streams live at once gives them two names.
+    It draws exactly what job_rng(seed) draws, until the thread's next call
+    resets the same object.
     """
     try:
-        bitgen, gen, state = getattr(_streams, stream)
+        bitgen, gen, state = _slot.rng
     except AttributeError:
         bitgen = np.random.Philox(key=0)
         gen = np.random.Generator(bitgen)
         state = _plain(bitgen.state)
-        setattr(_streams, stream, (bitgen, gen, state))
+        _slot.rng = (bitgen, gen, state)
     state["state"]["key"][0] = _key(seed)
     bitgen.state = state
     return gen

@@ -560,6 +560,18 @@ class TestCrossingPoint:
         b = [(0.0, 0.25), (0.5, 0.25), (1.0, 0.0), (2.2250738585e-313, 0.0)]
         assert crossing_point(a, b).h_nats == pytest.approx(2.0 / 3.0, abs=1e-12)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("column", [0, 1], ids=["entropy", "variance"])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_non_finite_points_are_refused(self, value, column, side):
+        # finite, these two sweeps cross at h = 1
+        sweeps = {"a": [(0.0, 1.0), (1.0, 0.5), (2.0, 0.0)], "b": [(0.0, 0.0), (2.0, 1.0)]}
+        point = list(sweeps[side][1])
+        point[column] = value
+        sweeps[side][1] = tuple(point)
+        with pytest.raises(InvalidArgument, match="sweep entropies and variances must be finite"):
+            crossing_point(sweeps["a"], sweeps["b"])
+
     def test_accepts_sweep_records(self):
         recs_a = variance_sweep(
             StateFamily.UNIFORM, [1, 2, 4, 8, 16, 32, 64], dim=64,

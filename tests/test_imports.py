@@ -1,4 +1,4 @@
-"""Ten lints over the package source.
+"""Eleven lints over the package source.
 
 No linter ships with the toolchain, so these tests parse each module of the
 package:
@@ -23,7 +23,10 @@ package:
     through its one line reader and its one exact-payload reader;
   * every `setflags(write=False)` freezes an array that the same function
     made with `np.array(...)`, never one that `np.asarray` may have handed
-    over from a caller, so a record never freezes its caller's array.
+    over from a caller, so a record never freezes its caller's array;
+  * no module but `seeding.py` names `Philox` or imports `threading`, so
+    every Philox stream is keyed by its one seed rule and re-keyed through
+    its one per-thread generator.
 """
 
 import ast
@@ -471,4 +474,46 @@ def test_a_borrowed_freeze_is_reported():
     )
     assert borrowed_freezes(source) == [
         "line 9: arr", "line 13: arr", "line 17: arr", "line 18: x.values", "line 20: np.zeros(3)",
+    ]
+
+
+def philox_and_threading(source: str) -> list[str]:
+    """Each `Philox` named as an attribute, a bare name or an imported name,
+    and each import of `threading` or a `threading.` submodule."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "Philox":
+            found.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.Name) and node.id == "Philox":
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name.split(".")[0] == "threading"]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and node.module.split(".")[0] == "threading":
+                found.append((node.lineno, node.module))
+            found += [(node.lineno, f"{node.module}.Philox") for alias in node.names if alias.name == "Philox"]
+    return [f"line {line}: {text}" for line, text in sorted(found)]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "seeding.py"],
+                         ids=lambda p: p.name)
+def test_only_seeding_keys_philox_streams(path):
+    assert philox_and_threading(path.read_text()) == []
+
+
+def test_a_philox_or_thread_outside_seeding_is_reported():
+    source = (
+        "import numpy as np\n"
+        "import threading\n"
+        "from numpy.random import Philox, PCG64\n"
+        "from .seeding import job_rng\n"
+        "def f(seed):\n"
+        "    from threading import local\n"
+        "    gen = np.random.Generator(np.random.Philox(key=seed))\n"
+        "    return gen, Philox(seed), local(), job_rng(seed), np.random.default_rng(seed)\n"
+    )
+    assert philox_and_threading(source) == [
+        "line 2: threading", "line 3: numpy.random.Philox", "line 6: threading",
+        "line 7: np.random.Philox", "line 8: Philox",
     ]

@@ -235,6 +235,33 @@ class TestTrain:
                 split_dataset(np.zeros((12, 4)), labels, split_seed=0)
 
 
+class TestSplitDataset:
+    @pytest.mark.parametrize("features", [np.arange(10.0), np.zeros((10, 2, 2)), np.array(3.0)],
+                             ids=["1-D", "3-D", "0-d"])
+    def test_features_must_be_a_matrix(self, features):
+        # a 1-D vector once passed here and failed later in train with IndexError
+        with pytest.raises(ShapeMismatch, match="expected a 2-D feature matrix"):
+            split_dataset(features, np.array([0, 1] * 5), 1)
+
+    @pytest.mark.parametrize("features, labels", [
+        (np.zeros((0, 4)), np.array([], dtype=int)),
+        (np.zeros((0, 4)), np.array([0, 1] * 5)),
+        (np.zeros((10, 4)), np.array([], dtype=int)),
+        (np.zeros((9, 4)), np.array([0, 1] * 5)),
+    ], ids=["both-empty", "no-features", "no-labels", "misaligned"])
+    def test_no_samples_or_misaligned_is_an_empty_dataset(self, features, labels):
+        with pytest.raises(EmptyDataset, match="nonempty and aligned"):
+            split_dataset(features, labels, 1)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_features_must_be_finite(self, value):
+        features = np.zeros((10, 4))
+        features[3, 2] = value
+        for counts in (None, (6, 4)):
+            with pytest.raises(NonFiniteInput, match="feature matrix contains NaN or Inf"):
+                split_dataset(features, np.array([0, 1] * 5), 1, counts=counts)
+
+
 # recorded before matmul's per-call work (one normalization pass over A and
 # B transposed, the array seed grid, broadcasts and map-driven job loops)
 IRIS_TRAINING_SHA = "5a2dfea4f91dacae12f2834e27b071d54c900bd04dc4d8c3a6a65164715ad4da"

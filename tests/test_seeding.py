@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qstacker import MatMulConfig, analytic_overlap, derive_seed, encode, job_rng, matmul, sample_hadamard
 from qstacker.errors import InvalidArgument
-from qstacker.seeding import _streams, random_signs, rekeyed_rng, splitmix64
+from qstacker.seeding import _slot, _splitmix64_into, random_signs, rekeyed_rng, splitmix64
 
 seeds = st.integers(min_value=0, max_value=(1 << 64) - 1)
 shot_counts = st.sampled_from([1, 2, 1024, 1 << 20]) | st.integers(min_value=1, max_value=1 << 40)
@@ -33,7 +33,8 @@ def _fresh_draw(psi, phi, shots, seed):
 
 
 class TestJobBinomial:
-    """sample_hadamard draws on the re-keyed `job_binomial` stream what job_rng draws."""
+    """sample_hadamard draws each job's binomial on the thread's re-keyed
+    generator, and draws what job_rng draws."""
 
     @settings(deadline=None, max_examples=300)
     @given(seed=seeds, shots=shot_counts, mu=overlaps)
@@ -103,29 +104,19 @@ class TestRekeyedRng:
     @settings(deadline=None)
     @given(st.lists(seeds, min_size=1, max_size=20))
     def test_interleaved_seeds_match_fresh_generators(self, keys):
-        assert [_draws(rekeyed_rng(seed, "test")) for seed in keys] == [_draws(job_rng(seed)) for seed in keys]
+        assert [_draws(rekeyed_rng(seed)) for seed in keys] == [_draws(job_rng(seed)) for seed in keys]
 
-    @settings(deadline=None)
-    @given(seed_a=seeds, seed_b=seeds)
-    def test_two_live_streams_are_two_objects(self, seed_a, seed_b):
-        a = rekeyed_rng(seed_a, "test_a")
-        b = rekeyed_rng(seed_b, "test_b")
-        assert a is not b
-        fresh_a, fresh_b = job_rng(seed_a), job_rng(seed_b)
-        for _ in range(3):  # alternate draws: neither stream disturbs the other
-            assert _draws(a) == _draws(fresh_a)
-            assert _draws(b) == _draws(fresh_b)
-
-    def test_same_name_resets_the_same_object(self):
-        a = rekeyed_rng(5, "test")
+    def test_each_call_resets_the_threads_one_generator(self):
+        a = rekeyed_rng(5)
         first = a.bit_generator.random_raw(4).tolist()
-        assert rekeyed_rng(5, "test") is a
+        assert rekeyed_rng(7) is a
+        assert rekeyed_rng(5) is a
         assert a.bit_generator.random_raw(4).tolist() == first
 
     def test_reset_state_is_a_fresh_philox_state_in_python_ints(self):
         # a state field numpy adds must show here, not stay un-reset
-        rekeyed_rng(0, "test")
-        kept, fresh = dict(_leaves(_streams.test[2])), dict(_leaves(np.random.Philox(key=0).state))
+        rekeyed_rng(0)
+        kept, fresh = dict(_leaves(_slot.rng[2])), dict(_leaves(np.random.Philox(key=0).state))
         assert list(kept) == list(fresh)
         for path, value in kept.items():
             assert np.array_equal(np.asarray(value), np.asarray(fresh[path])), path
@@ -135,12 +126,12 @@ class TestRekeyedRng:
     def test_threads_match_serial(self):
         keys = [derive_seed(6, k) for k in range(400)]
         serial = [_draws(job_rng(seed)) for seed in keys]
-        workers = 4  # more threads than cores, all on the same stream name
+        workers = 4  # more threads than cores, each re-keying its own generator
         out = [None] * len(keys)
 
         def run(part):
             for k in range(part, len(keys), workers):
-                out[k] = _draws(rekeyed_rng(keys[k], "test"))
+                out[k] = _draws(rekeyed_rng(keys[k]))
 
         threads = [threading.Thread(target=run, args=(p,)) for p in range(workers)]
         interval = sys.getswitchinterval()
@@ -176,7 +167,7 @@ class TestRandomSigns:
         for k in range(20):
             seed = derive_seed(8, k)
             want = job_rng(seed).integers(0, 2, size=shape) * 2 - 1
-            assert np.array_equal(random_signs(rekeyed_rng(seed, "test"), shape), want)
+            assert np.array_equal(random_signs(rekeyed_rng(seed), shape), want)
 
     @pytest.mark.parametrize("shape", [(500, 64), (11, 7), (3, 8), (1, 1), (3,)])
     def test_into_a_buffer_equals_the_fresh_array(self, shape):
@@ -210,7 +201,7 @@ class TestDeriveSeedArrays:
         xs = [0, 1, (1 << 63) - 1, 1 << 63, (1 << 64) - 2, (1 << 64) - 1]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            arr = splitmix64(np.array(xs, dtype=np.uint64))
+            arr = _splitmix64_into(np.array(xs, dtype=np.uint64))
             seeds3 = derive_seed(9, np.array(xs, dtype=np.uint64), 2, np.uint64(3))
         assert arr.tolist() == [splitmix64(x) for x in xs]
         assert seeds3.tolist() == [derive_seed(9, x, 2, 3) for x in xs]
