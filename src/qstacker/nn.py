@@ -255,6 +255,8 @@ def split_dataset(
     unless counts are given, in which case the first `counts[0]` samples
     train and the next `counts[1]` test."""
     labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise ShapeMismatch(f"expected 1-D labels, got shape {labels.shape}")
     split_seed = as_int(split_seed, "split_seed")
     # no samples is EmptyDataset, ahead of _finite's ShapeMismatch for size 0
     if np.size(features) == 0 or len(labels) == 0:

@@ -3,15 +3,15 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines.
 Criteria 1-11 and 14 run from `qstacker.checks.CRITERIA`, which holds their
 names, bounds, counts and seeds and is shared with `qstacker verify`; here
-criterion 3 takes the triple-loop oracle and criterion 7 20000 distributions
-per family. Only criteria 12 and 13, the training benchmarks, keep their
-bodies and tolerances in this file. The master seed is fixed at 42.
+criterion 3 takes the oracle `spec.classical_product` and criterion 7 20000
+distributions per family. Only criteria 12 and 13, the training benchmarks,
+keep their bodies and tolerances in this file. The master seed is fixed at 42.
 """
 
 import statistics
 
 import pytest
-from conftest import triple_loop
+from spec import classical_product
 
 from qstacker import (
     NetworkShape,
@@ -47,7 +47,7 @@ def test_criterion_02_estimator_law():
 
 
 def test_criterion_03_exact_mode_equivalence():
-    check(3, triple_loop)
+    check(3, classical_product)
 
 
 def test_criterion_04_sampled_matmul_bound():

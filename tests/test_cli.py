@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import write_idx_images, write_idx_labels
-from qstacker import MatMulConfig, checks, cli, error_budget, matmul, nn
+from spec import spec_matmul_csv
+from qstacker import MatMulConfig, checks, cli, matmul, nn
 from qstacker.cli import main
 from qstacker.errors import InvalidDistribution, NoCrossing, NonFiniteInput
 from qstacker.matio import read_matrix_csv, write_matrix_bin, write_matrix_csv
@@ -103,7 +104,7 @@ class TestMatmulCommand:
 
     @pytest.mark.parametrize("exact", [True, False])
     def test_artifacts_hold_the_product_bit_for_bit(self, tmp_path, capsys, exact):
-        """matmul.csv and product.csv against per-element references, on
+        """matmul.csv and product.csv against their references, on
         operands with a zero row, a zero column, -0.0, 5e-324, 1e16 and 1e-300."""
         rng = np.random.default_rng(62)
         a, b = rng.normal(size=(5, 9)), rng.normal(size=(9, 6))
@@ -123,13 +124,7 @@ class TestMatmulCommand:
                      *mode, "--out", str(out)]) == 0
         capsys.readouterr()
         r = matmul(a, b, MatMulConfig(shots=1024, seed=8, exact=exact))
-        expected = ["i,j,z_hat,c_ij,stderr"]
-        for i in range(5):
-            for j in range(6):
-                z, c = float(r.z_hat[i, j]), float(r.c[i, j])
-                se = 0.0 if exact else float(error_budget(float(r.norm_products[i, j]), r.shots, mu=z))
-                expected.append(f"{i},{j},{z!r},{c!r},{se!r}")
-        assert (out / "matmul.csv").read_text() == "\n".join(expected) + "\n"
+        assert (out / "matmul.csv").read_text() == spec_matmul_csv(r)
         write_matrix_csv(tmp_path / "reference.csv", r.c)
         assert (out / "product.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
         assert read_matrix_csv(out / "product.csv").tobytes() == r.c.tobytes()

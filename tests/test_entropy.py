@@ -6,19 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from spec import spec_sweep
 
 from qstacker import (
     ProbDist,
     StateFamily,
     SweepPairing,
-    SweepRecord,
     adaptive_shots,
     concentration_check,
     crossing_point,
     derive_seed,
     dividend_bound,
     entropy,
-    estimate,
     generate_state,
     pearson,
     sweep_levels,
@@ -323,37 +322,6 @@ def test_sweep_streams_are_pinned(key):
     assert digest == SWEEP_STREAMS[key]
 
 
-def _reference_sweep(family, levels, dim, shots, repetitions, seed, pairing):
-    """variance_sweep as a fresh per-level loop in plain NumPy: a whole
-    generate_state, integer signs from a new job_rng, np.clip, and np.mean and
-    np.var of each level's own arrays."""
-    records = []
-    for j, level in enumerate(levels):
-        shape = {"t": float(level)} if family is StateFamily.INTERPOLATED else {"support": level}
-        psi, dist = generate_state(family, dim, derive_seed(seed, j), **shape)
-        rep = entropy(dist)
-        rng = job_rng(derive_seed(seed, j, 1))
-        if pairing is SweepPairing.RESIGNED:
-            taus = (rng.integers(0, 2, size=(repetitions, dim)) * 2 - 1).astype(np.float64)
-            mus = taus @ dist.p
-        else:
-            phi, _ = generate_state(family, dim, derive_seed(seed, j, 2), **shape)
-            mus = np.full(repetitions, float(np.dot(psi.amplitudes, phi.amplitudes)))
-        z = estimate(rng.binomial(shots, np.clip((1.0 + mus) / 2.0, 0.0, 1.0)), shots)
-        records.append(SweepRecord(
-            family=family.value, pairing=pairing.value, dim=dim,
-            support=int(np.count_nonzero(dist.p)), level=float(level),
-            entropy_nats=rep.shannon_nats, entropy_bits=rep.shannon_bits, purity=rep.purity,
-            empirical_variance=float(np.mean((z - mus) ** 2)),
-            overlap_variance=float(np.var(mus, ddof=1)),
-            total_variance=float(np.var(z, ddof=1)),
-            expected_shot_variance=(1.0 - float(np.mean(mus**2))) / shots,
-            theoretical_ceiling=1.0 / shots,
-            dividend_bound=dividend_bound(rep.shannon_nats, shots),
-            shots=shots, repetitions=repetitions))
-    return records
-
-
 # 500 x 64 is the entropy-sweep-cli shape; 11 x 7 signs are odd in number, so
 # the reference's integers(0, 2) leaves a buffered half-word; 3 x 8 is a sign
 # buffer wider than it is tall
@@ -364,7 +332,7 @@ def test_sweep_equals_the_per_level_reference(family, pairing, dim, reps, count)
     levels = sweep_levels(family, count, dim)
     ours = variance_sweep(family, levels, dim=dim, shots=8192, repetitions=reps, seed=2027,
                           pairing=pairing)
-    want = _reference_sweep(family, levels, dim, 8192, reps, 2027, pairing)
+    want = spec_sweep(family, levels, dim, 8192, reps, 2027, pairing)
     assert [repr(r) for r in ours] == [repr(r) for r in want]
 
 

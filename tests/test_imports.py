@@ -1,10 +1,10 @@
-"""Eleven lints over the package source.
+"""Eleven lints over the package source, the first over the tests too.
 
 No linter ships with the toolchain, so these tests parse each module of the
 package:
-  * every name a module imports is used in it (`__init__.py` is left out,
-    since its imports are its public names; so are `from __future__`
-    imports, which are compiler directives);
+  * every name a module of the package or of `tests/` imports is used in it
+    (the package's `__init__.py` is left out, its imports being its public
+    names, and so are `from __future__` imports, compiler directives);
   * every `raise` names an exception class of `qstacker.errors`, so no bare
     `ValueError` or `KeyError` escapes the error taxonomy;
   * every class of `qstacker.errors` but the `QStackerError` base is raised
@@ -61,7 +61,8 @@ def test_the_package_has_modules():
     assert len(MODULES) >= 10
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + sorted(Path(__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -7,19 +7,16 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import triple_loop
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from spec import classical_product, spec_matmul_csv, spec_product
 
 from qstacker import (
     MatMulConfig,
     StackingPattern,
-    analytic_overlap,
     derive_seed,
     encode,
     error_budget,
-    estimate,
-    job_rng,
     matmul,
 )
 from qstacker.cli import summary_dict, write_result_csv, write_summary_json
@@ -47,7 +44,7 @@ class TestExactMode:
             a = rng.normal(size=(rows, inner))
             b = rng.normal(size=(inner, cols))
             r = matmul(a, b, MatMulConfig(exact=True))
-            assert np.abs(r.c - triple_loop(a, b)).max() <= 1e-10
+            assert np.abs(r.c - classical_product(a, b)).max() <= 1e-10
 
     def test_all_zero_a(self):
         r = matmul(np.zeros((3, 4)), np.ones((4, 2)), MatMulConfig(exact=True))
@@ -83,7 +80,7 @@ class TestExactMode:
         b = rng.normal(size=(inner, cols))
         r = matmul(a, b, MatMulConfig(exact=True))
         assert r.c.shape == r.z_hat.shape == r.true_overlap.shape == (rows, cols)
-        assert np.abs(r.c - triple_loop(a, b)).max() <= 1e-10
+        assert np.abs(r.c - classical_product(a, b)).max() <= 1e-10
 
     def test_planted_unit_overlaps(self):
         rng = np.random.default_rng(53)
@@ -242,7 +239,7 @@ class TestLeadingSubBlockProperty:
 
 
 class TestPerElementReference:
-    # the engine against its own definition, element by element: seed from
+    # the engine against its spec, spec_product, element by element: seed from
     # (seed, i, j), one Binomial(S, (1 + mu)/2) count, the scalar estimate and
     # C_ij = ||A_i|| ||B_j|| z_hat_ij, at shot counts up to int64's limit
     @settings(deadline=None, max_examples=150)
@@ -260,16 +257,7 @@ class TestPerElementReference:
         b = rng.normal(size=(inner, cols))
         a[data.draw(st.lists(st.integers(0, rows - 1), unique=True), label="zero rows")] = 0.0
         b[:, data.draw(st.lists(st.integers(0, cols - 1), unique=True), label="zero cols")] = 0.0
-        want_z, want_mu, want_c = np.zeros((3, rows, cols))
-        row_states, col_states = [encode(v) for v in a], [encode(v) for v in b.T]
-        for i, psi in enumerate(row_states):
-            for j, phi in enumerate(col_states):
-                if psi.is_zero or phi.is_zero:
-                    continue
-                want_mu[i, j] = analytic_overlap(psi, phi)
-                count0 = int(job_rng(derive_seed(seed, i, j)).binomial(shots, (1.0 + want_mu[i, j]) / 2.0))
-                want_z[i, j] = estimate(count0, shots)
-                want_c[i, j] = psi.source_norm * phi.source_norm * want_z[i, j]
+        want_z, want_mu, want_c = spec_product(a, b, shots, seed)
         r = matmul(a, b, MatMulConfig(shots=shots, seed=seed))
         assert r.z_hat.tobytes() == want_z.tobytes()
         assert r.true_overlap.tobytes() == want_mu.tobytes()
@@ -508,12 +496,7 @@ class TestSerialization:
         r = matmul(a, b, MatMulConfig(shots=4096, seed=23))
         csv_path = tmp_path / "result.csv"
         write_result_csv(r, csv_path)
-        lines = csv_path.read_text().splitlines()
-        assert lines[0] == "i,j,z_hat,c_ij,stderr"
-        assert len(lines) == 1 + 9
-        i, j, z, c, se = lines[1].split(",")
-        assert (int(i), int(j)) == (0, 0)
-        assert float(c) == pytest.approx(r.c[0, 0])
+        assert csv_path.read_text() == spec_matmul_csv(r)
         json_path = tmp_path / "summary.json"
         write_summary_json(r, json_path, classical=a @ b)
         doc = json.loads(json_path.read_text())
@@ -528,14 +511,8 @@ class TestSerialization:
         a[1] = 0.0
         b[:, 2] = 0.0
         r = matmul(a, b, MatMulConfig(shots=shots, seed=29))
-        expected = ["i,j,z_hat,c_ij,stderr"]
-        for i in range(4):
-            for j in range(3):
-                z = float(r.z_hat[i, j])
-                se = float(error_budget(float(r.norm_products[i, j]), shots, mu=z))
-                expected.append(f"{i},{j},{z!r},{float(r.c[i, j])!r},{se!r}")
         write_result_csv(r, tmp_path / "matmul.csv")
-        assert (tmp_path / "matmul.csv").read_text() == "\n".join(expected) + "\n"
+        assert (tmp_path / "matmul.csv").read_text() == spec_matmul_csv(r)
 
     @staticmethod
     def _planted_result(exact):
@@ -554,14 +531,8 @@ class TestSerialization:
     @pytest.mark.parametrize("exact", [True, False])
     def test_csv_matches_per_element_reference(self, tmp_path, exact):
         r = self._planted_result(exact)
-        expected = ["i,j,z_hat,c_ij,stderr"]
-        for i in range(4):
-            for j in range(5):
-                z = float(r.z_hat[i, j])
-                se = 0.0 if exact else float(error_budget(float(r.norm_products[i, j]), r.shots, mu=z))
-                expected.append(f"{i},{j},{z!r},{float(r.c[i, j])!r},{se!r}")
         write_result_csv(r, tmp_path / "matmul.csv", tmp_path / "product.csv")
-        assert (tmp_path / "matmul.csv").read_text() == "\n".join(expected) + "\n"
+        assert (tmp_path / "matmul.csv").read_text() == spec_matmul_csv(r)
 
     @pytest.mark.parametrize("exact", [True, False])
     def test_product_csv_is_write_matrix_csv_of_c(self, tmp_path, exact):
@@ -586,7 +557,7 @@ class TestSerialization:
     )
     def test_every_shape_writes_the_per_element_reference(self, tmp_path_factory, rows, inner, cols,
                                                           exact, shots, data):
-        # the writer's row template against one f-string per element, with
+        # the writer's row template against spec_matmul_csv, with
         # 1-row and 1-column products and the awkward reprs planted anywhere
         rng = np.random.default_rng(data.draw(st.integers(0, (1 << 32) - 1), label="values"))
         r = matmul(rng.normal(size=(rows, inner)), rng.normal(size=(inner, cols)),
@@ -599,16 +570,10 @@ class TestSerialization:
         for (i, j), v in data.draw(st.dictionaries(cells, st.sampled_from([-0.0, 5e-324])), label="z").items():
             z[i, j] = v
         r = dataclasses.replace(r, c=c, z_hat=z)
-        expected = ["i,j,z_hat,c_ij,stderr"]
-        for i in range(rows):
-            for j in range(cols):
-                zv = float(r.z_hat[i, j])
-                se = 0.0 if exact else float(error_budget(float(r.norm_products[i, j]), shots, mu=zv))
-                expected.append(f"{i},{j},{zv!r},{float(r.c[i, j])!r},{se!r}")
         out = tmp_path_factory.mktemp("serial")
         write_result_csv(r, out / "matmul.csv", out / "product.csv")
         write_result_csv(r, out / "alone.csv")
-        assert (out / "matmul.csv").read_text() == "\n".join(expected) + "\n"
+        assert (out / "matmul.csv").read_text() == spec_matmul_csv(r)
         assert (out / "alone.csv").read_bytes() == (out / "matmul.csv").read_bytes()
         product = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in r.c)
         assert (out / "product.csv").read_text() == product
@@ -627,13 +592,10 @@ class TestSerialization:
         r = matmul(a, b, MatMulConfig(shots=1024, seed=47, exact=exact))
         assert r.c[2, 3] == math.inf and r.norm_products[2, 2] == math.inf
         write_result_csv(r, tmp_path / "matmul.csv")
-        lines = (tmp_path / "matmul.csv").read_text().splitlines()[1:]
+        text = (tmp_path / "matmul.csv").read_text()
+        assert text == spec_matmul_csv(r)
+        lines = text.splitlines()[1:]
         assert len(lines) == 12 and lines[11].startswith("2,3,") and lines[11].split(",")[3] == "inf"
-        mant, exp = r.norm_parts
-        for line, (i, j) in zip(lines, np.ndindex(3, 4)):
-            z = float(r.z_hat[i, j])
-            se = 0.0 if exact else float(np.ldexp(error_budget(float(mant[i, j]), 1024, mu=z), int(exp[i, j])))
-            assert line.rsplit(",", 1)[1] == repr(se)
         assert exact or 1e306 < float(lines[10].rsplit(",", 1)[1]) < 1e307
 
     @pytest.mark.parametrize("exact", [True, False])

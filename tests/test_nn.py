@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import write_idx_images, write_idx_labels
+from spec import spec_train
 from qstacker import (
     Dataset,
     Model,
@@ -253,6 +254,12 @@ class TestSplitDataset:
         with pytest.raises(EmptyDataset, match="nonempty and aligned"):
             split_dataset(features, labels, 1)
 
+    @pytest.mark.parametrize("labels", [np.array(0), np.zeros((2, 2), dtype=int)], ids=["0-d", "2-D"])
+    def test_labels_must_be_a_vector(self, labels):
+        # checked before any len(), which a 0-d array does not have
+        with pytest.raises(ShapeMismatch, match="expected 1-D labels"):
+            split_dataset(np.zeros((2, 4)), labels, 1)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_features_must_be_finite(self, value):
         features = np.zeros((10, 4))
@@ -265,18 +272,31 @@ class TestSplitDataset:
 # recorded before matmul's per-call work (one normalization pass over A and
 # B transposed, the array seed grid, broadcasts and map-driven job loops)
 IRIS_TRAINING_SHA = "5a2dfea4f91dacae12f2834e27b071d54c900bd04dc4d8c3a6a65164715ad4da"
+# the benchmark's train-iris settings, two epochs, on the split of seed 77
+IRIS_PIN_CONFIG = TrainConfig(shape=NetworkShape(4, 4, 3), batch_size=10, learning_rate=0.1,
+                              epochs=2, shots=16384, seed=4005, forward_mode=QUANTUM)
 
 
 def test_quantum_iris_training_is_pinned(iris_path):
-    # the benchmark's train-iris settings, two epochs: every weight bit, every
-    # epoch record and the job count come out of the sampled forward products
-    cfg = TrainConfig(shape=NetworkShape(4, 4, 3), batch_size=10, learning_rate=0.1,
-                      epochs=2, shots=16384, seed=4005, forward_mode=QUANTUM)
-    model, report = train(ingest_iris(iris_path, split_seed=77), cfg)
+    # every weight bit, every epoch record and the job count come out of the
+    # sampled forward products
+    model, report = train(ingest_iris(iris_path, split_seed=77), IRIS_PIN_CONFIG)
     digest = hashlib.sha256(model.w1.tobytes() + model.w2.tobytes())
     digest.update(repr((report.epochs, report.quantum_jobs)).encode())
     assert report.quantum_jobs == 2 * 150 * (4 + 3)
     assert digest.hexdigest() == IRIS_TRAINING_SHA
+
+
+def test_quantum_iris_training_equals_its_spec(iris_path):
+    # the pin's run against spec_train, bit for bit. The hash also covers the
+    # last bits numpy's exp and log give on this CPU's SIMD loops; this
+    # comparison holds on any of them, since both sides use the same ufuncs
+    data = ingest_iris(iris_path, split_seed=77)
+    model, report = train(data, IRIS_PIN_CONFIG)
+    w1, w2, epochs, jobs = spec_train(data, IRIS_PIN_CONFIG)
+    assert model.w1.tobytes() == w1.tobytes() and model.w2.tobytes() == w2.tobytes()
+    assert repr(report.epochs) == repr(epochs)
+    assert report.quantum_jobs == jobs
 
 
 @pytest.mark.slow

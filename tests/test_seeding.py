@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from spec import spec_count
 
-from qstacker import MatMulConfig, analytic_overlap, derive_seed, encode, job_rng, matmul, sample_hadamard
+from qstacker import MatMulConfig, derive_seed, encode, job_rng, matmul, sample_hadamard
 from qstacker.errors import InvalidArgument
 from qstacker.seeding import _slot, _splitmix64_into, random_signs, rekeyed_rng, splitmix64
 
@@ -27,33 +28,51 @@ def _pair(mu):
     return encode([1.0, 0.0]), encode([mu, np.sqrt(1.0 - mu * mu)])
 
 
-def _fresh_draw(psi, phi, shots, seed):
-    """sample_hadamard's count from a new generator, without the re-keyed one."""
-    return int(job_rng(seed).binomial(shots, (1.0 + analytic_overlap(psi, phi)) / 2.0))
+def _in_threads(fn, items, workers=4):
+    """[fn(x) for x in items] from `workers` threads (more than the cores),
+    thread p taking items p, p + workers, ..., switching every 1 us."""
+    out = [None] * len(items)
+
+    def run(part):
+        for k in range(part, len(items), workers):
+            out[k] = fn(items[k])
+
+    threads = [threading.Thread(target=run, args=(p,)) for p in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return out
 
 
-class TestJobBinomial:
+class TestSampleHadamardDraw:
     """sample_hadamard draws each job's binomial on the thread's re-keyed
-    generator, and draws what job_rng draws."""
+    generator, and draws what spec_count draws on a fresh job_rng."""
 
     @settings(deadline=None, max_examples=300)
     @given(seed=seeds, shots=shot_counts, mu=overlaps)
     def test_equals_a_fresh_job_rng_draw(self, seed, shots, mu):
         psi, phi = _pair(mu)
-        assert sample_hadamard(psi, phi, shots, seed) == _fresh_draw(psi, phi, shots, seed)
+        assert sample_hadamard(psi, phi, shots, seed) == spec_count(psi, phi, shots, seed)
 
     @settings(deadline=None)
     @given(st.lists(st.tuples(seeds, shot_counts, overlaps), min_size=2, max_size=30))
     def test_interleaved_parameters_match_fresh_draws(self, calls):
         # changing (S, p0) between calls exercises the Generator's binomial setup cache
         jobs = [(*_pair(mu), shots, seed) for seed, shots, mu in calls]
-        assert [sample_hadamard(*job) for job in jobs] == [_fresh_draw(*job) for job in jobs]
+        assert [sample_hadamard(*job) for job in jobs] == [spec_count(*job) for job in jobs]
 
     @pytest.mark.parametrize("mu, shots", [(m, s) for m in (-1.0, 1.0) for s in (1, 1 << 20)])
     def test_certain_outcomes(self, mu, shots):
         psi, phi = _pair(mu)
         count0 = sample_hadamard(psi, phi, shots, 11)
-        assert count0 == _fresh_draw(psi, phi, shots, 11) == (shots if mu > 0 else 0)
+        assert count0 == spec_count(psi, phi, shots, 11) == (shots if mu > 0 else 0)
 
     def test_threads_on_disjoint_jobs_match_serial(self):
         rng = np.random.default_rng(21)
@@ -63,26 +82,8 @@ class TestJobBinomial:
             for k in range(600)
         ]
         serial = [sample_hadamard(*job) for job in jobs]
-        assert serial == [_fresh_draw(*job) for job in jobs]
-        workers = 4  # more threads than cores, each on its own slice
-        out = [None] * len(jobs)
-
-        def run(part):
-            for k in range(part, len(jobs), workers):
-                out[k] = sample_hadamard(*jobs[k])
-
-        threads = [threading.Thread(target=run, args=(p,)) for p in range(workers)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert out == serial
+        assert serial == [spec_count(*job) for job in jobs]
+        assert _in_threads(lambda job: sample_hadamard(*job), jobs) == serial
 
 
 def _draws(rng):
@@ -126,25 +127,7 @@ class TestRekeyedRng:
     def test_threads_match_serial(self):
         keys = [derive_seed(6, k) for k in range(400)]
         serial = [_draws(job_rng(seed)) for seed in keys]
-        workers = 4  # more threads than cores, each re-keying its own generator
-        out = [None] * len(keys)
-
-        def run(part):
-            for k in range(part, len(keys), workers):
-                out[k] = _draws(rekeyed_rng(keys[k]))
-
-        threads = [threading.Thread(target=run, args=(p,)) for p in range(workers)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert out == serial
+        assert _in_threads(lambda seed: _draws(rekeyed_rng(seed)), keys) == serial
 
 
 shapes = st.lists(st.integers(0, 40), min_size=1, max_size=3).map(tuple)
