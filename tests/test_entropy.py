@@ -28,7 +28,7 @@ from qstacker.cli import write_sweep_csv
 from qstacker.entropy import (LN2, _draw_probs, _isotonic_decreasing,
                               _t_two_tailed, shannon_entropy)
 from qstacker.errors import ConstantSeries, InvalidArgument, InvalidDistribution, NoCrossing
-from qstacker.seeding import job_rng
+from qstacker.seeding import MAX_SHOTS, job_rng
 from qstacker.vectors import EncodedState
 
 FAMILIES = list(StateFamily)
@@ -333,6 +333,20 @@ def test_sweep_equals_the_per_level_reference(family, pairing, dim, reps, count)
     ours = variance_sweep(family, levels, dim=dim, shots=8192, repetitions=reps, seed=2027,
                           pairing=pairing)
     want = spec_sweep(family, levels, dim, 8192, reps, 2027, pairing)
+    assert [repr(r) for r in ours] == [repr(r) for r in want]
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data(), family=st.sampled_from(FAMILIES), pairing=st.sampled_from(list(SweepPairing)),
+       dim=st.integers(2, 9), reps=st.integers(2, 12),
+       shots=st.sampled_from([1, 2, 1000, 8192, 2**20, 2**53 + 1, MAX_SHOTS]), seed=st.integers(0, 2**64 - 1))
+def test_drawn_sweeps_equal_the_per_level_reference(data, family, pairing, dim, reps, shots, seed):
+    # supports 1..dim, or t in [0, 1] for the interpolated family, drawn as given
+    level = st.floats(0.0, 1.0) if family is StateFamily.INTERPOLATED else st.integers(1, dim)
+    levels = data.draw(st.lists(level, min_size=1, max_size=5), label="levels")
+    ours = variance_sweep(family, levels, dim=dim, shots=shots, repetitions=reps, seed=seed,
+                          pairing=pairing)
+    want = spec_sweep(family, levels, dim, shots, reps, seed, pairing)
     assert [repr(r) for r in ours] == [repr(r) for r in want]
 
 

@@ -1,4 +1,4 @@
-"""Eleven lints over the package source, the first over the tests too.
+"""Lints over the package source, the first over the tests too.
 
 No linter ships with the toolchain, so these tests parse each module of the
 package:
@@ -10,23 +10,14 @@ package:
   * every class of `qstacker.errors` but the `QStackerError` base is raised
     by name somewhere in the package, so the taxonomy holds no class that
     no caller can meet;
-  * no module but `vectors.py` calls `linalg.norm`, so every norm in the
-    package follows the one rule there;
-  * no module but `vectors.py` raises `NonFiniteInput`, so every finiteness
-    check on an operand goes through its one validator;
-  * the package's only scipy import is the one inside
-    `entropy.variance_band`, so every other path starts on numpy alone;
-  * no module but `cli.py` imports `json`, and no module but `cli.py` and
-    `matio.py` opens a file for writing, so every artifact is written by
-    the CLI under its one JSON and CSV rules;
-  * no module but `matio.py` reads a file, so every input file is parsed
-    through its one line reader and its one exact-payload reader;
   * every `setflags(write=False)` freezes an array that the same function
     made with `np.array(...)`, never one that `np.asarray` may have handed
     over from a caller, so a record never freezes its caller's array;
-  * no module but `seeding.py` names `Philox` or imports `threading`, so
-    every Philox stream is keyed by its one seed rule and re-keyed through
-    its one per-thread generator.
+  * each ownership rule of OWNERS, such as "no module but `matio.py` reads
+    a file": `facts` walks a module once and yields each fact of a rule (a
+    call, an import, a name or a raise) with its enclosing function, and no
+    module or function outside the rule's owners may hold one. The table
+    gives each rule's reason.
 """
 
 import ast
@@ -163,252 +154,6 @@ def test_an_unraised_error_class_is_reported():
     assert unraised_classes(taxonomy, [module]) == ["OnlyCaught", "Unused"]
 
 
-def norm_calls(source: str) -> list[str]:
-    """Calls of `linalg.norm`, and imports of `norm` from a `linalg` module."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("linalg.norm"):
-            found.append((node.lineno, ast.unparse(node.func)))
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
-            found += [(node.lineno, f"{node.module}.norm") for alias in node.names if alias.name == "norm"]
-    return [f"line {line}: {text}" for line, text in sorted(found)]
-
-
-@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "vectors.py"],
-                         ids=lambda p: p.name)
-def test_norms_come_from_vectors(path):
-    assert norm_calls(path.read_text()) == []
-
-
-def test_a_norm_outside_vectors_is_reported():
-    source = (
-        "import numpy as np\n"
-        "from numpy.linalg import norm, qr\n"
-        "from .vectors import _unit_rows\n"
-        "def f(m):\n"
-        "    return np.linalg.norm(m, axis=1) + _unit_rows(m)[1] + np.dot(m, m)\n"
-    )
-    assert norm_calls(source) == ["line 2: numpy.linalg.norm", "line 5: np.linalg.norm"]
-
-
-def nonfinite_raises(source: str) -> list[str]:
-    """`raise` statements that name NonFiniteInput."""
-    found = sorted((line, ast.unparse(target)) for line, target, name in raised(source)
-                   if name == "NonFiniteInput")
-    return [f"line {line}: {text}" for line, text in found]
-
-
-@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "vectors.py"],
-                         ids=lambda p: p.name)
-def test_only_vectors_raises_nonfinite_input(path):
-    assert nonfinite_raises(path.read_text()) == []
-
-
-def test_a_nonfinite_raise_outside_vectors_is_reported():
-    source = (
-        "import numpy as np\n"
-        "from . import errors\n"
-        "from .errors import InvalidArgument, NonFiniteInput\n"
-        "def f(x):\n"
-        "    if not np.isfinite(x).all():\n"
-        "        raise NonFiniteInput('x contains NaN or Inf')\n"
-        "    if x.size == 0:\n"
-        "        raise InvalidArgument('empty') from None\n"
-        "    raise errors.NonFiniteInput\n"
-    )
-    assert nonfinite_raises(source) == ["line 6: NonFiniteInput", "line 9: errors.NonFiniteInput"]
-
-
-def scipy_imports(source: str) -> list[str]:
-    """`where: module` for each import of scipy, where is the enclosing
-    (dotted) function or class name, or `<module>` at the top level."""
-    found = []
-
-    def visit(node, where):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, child.name if where == "<module>" else f"{where}.{child.name}")
-                continue
-            if isinstance(child, ast.Import):
-                names = [alias.name for alias in child.names]
-            elif isinstance(child, ast.ImportFrom) and child.level == 0:
-                names = [child.module]
-            else:
-                names = []
-            found.extend(f"{where}: {name}" for name in names
-                         if name == "scipy" or name.startswith("scipy."))
-            visit(child, where)
-
-    visit(ast.parse(source), "<module>")
-    return found
-
-
-def test_scipy_is_imported_only_by_variance_band():
-    found = [f"{path.name} {entry}" for path in sorted(PACKAGE.glob("*.py"))
-             for entry in scipy_imports(path.read_text())]
-    assert found == ["entropy.py variance_band: scipy.stats"]
-
-
-def test_a_scipy_import_elsewhere_is_reported():
-    source = (
-        "import scipy\n"
-        "import scipyx\n"
-        "from .scipy import betainc\n"
-        "def pvalue(x):\n"
-        "    from scipy.special import betainc\n"
-        "    return betainc(1.0, 0.5, x)\n"
-        "class Fit:\n"
-        "    def band(self):\n"
-        "        import numpy as np, scipy.stats as st\n"
-        "        return st, np\n"
-    )
-    assert scipy_imports(source) == [
-        "<module>: scipy", "pvalue: scipy.special", "Fit.band: scipy.stats",
-    ]
-
-
-def json_imports(source: str) -> list[str]:
-    """Imports of `json` or of a `json.` submodule."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module]
-        else:
-            continue
-        found += [f"line {node.lineno}: {name}" for name in names
-                  if name == "json" or name.startswith("json.")]
-    return found
-
-
-def file_writes(source: str) -> list[str]:
-    """Calls that write a file: `write_text`, `write_bytes`, and `open` whose
-    mode holds a w, a or x. The mode is the `mode` keyword, else the second
-    argument of a bare `open(path, mode)` or the first of a method call such
-    as `Path.open(mode)`; a mode that is not a string literal counts as a write."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.Call):
-            continue
-        method = isinstance(node.func, ast.Attribute)
-        name = node.func.attr if method else getattr(node.func, "id", None)
-        if name in ("write_text", "write_bytes"):
-            found.append((node.lineno, name))
-        elif name == "open":
-            positional = node.args[0 if method else 1:]
-            modes = [kw.value for kw in node.keywords if kw.arg == "mode"] or positional[:1]
-            if not modes:
-                continue
-            mode = modes[0]
-            literal = isinstance(mode, ast.Constant) and isinstance(mode.value, str)
-            if not literal or set(mode.value) & set("wax"):
-                found.append((node.lineno, f"open({ast.unparse(mode)})"))
-    return [f"line {line}: {text}" for line, text in sorted(found)]
-
-
-@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "cli.py"],
-                         ids=lambda p: p.name)
-def test_only_the_cli_imports_json(path):
-    assert json_imports(path.read_text()) == []
-
-
-def test_a_json_import_outside_the_cli_is_reported():
-    source = (
-        "import json\n"
-        "import jsonschema\n"
-        "from .json import dumps\n"
-        "def f(doc):\n"
-        "    from json.decoder import JSONDecodeError\n"
-        "    import numpy as np, json as js\n"
-        "    return js.dumps(doc), np, JSONDecodeError\n"
-    )
-    assert json_imports(source) == ["line 1: json", "line 5: json.decoder", "line 6: json"]
-
-
-@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py"))
-                                  if p.name not in ("cli.py", "matio.py")],
-                         ids=lambda p: p.name)
-def test_only_the_cli_and_matio_write_files(path):
-    assert file_writes(path.read_text()) == []
-
-
-def test_a_file_write_outside_the_cli_is_reported():
-    source = (
-        "from pathlib import Path\n"
-        "def f(path, text, mode):\n"
-        "    with open(path) as fh, open(path, 'rb') as raw, Path(path).open() as again:\n"
-        "        pass\n"
-        "    with open(path, 'w') as fh, open(path, mode='ab') as log:\n"
-        "        pass\n"
-        "    Path(path).open('x')\n"
-        "    open(path, mode)\n"
-        "    Path(path).write_text(text)\n"
-        "    Path(path).write_bytes(b'')\n"
-        "    return Path(path).read_text()\n"
-    )
-    assert file_writes(source) == [
-        "line 5: open('ab')", "line 5: open('w')", "line 7: open('x')", "line 8: open(mode)",
-        "line 9: write_text", "line 10: write_bytes",
-    ]
-
-
-NUMPY_READERS = {"load", "loadtxt", "fromfile", "genfromtxt"}
-
-
-def file_reads(source: str) -> list[str]:
-    """Calls that read a file: `read_text`, `read_bytes`, numpy's `load`,
-    `loadtxt`, `fromfile` and `genfromtxt`, and `open` without a write mode.
-    The mode is found as in file_writes; an `open` with no mode, or with a
-    mode that is not a string literal, counts as a read."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.Call):
-            continue
-        method = isinstance(node.func, ast.Attribute)
-        name = node.func.attr if method else getattr(node.func, "id", None)
-        if name in ("read_text", "read_bytes"):
-            found.append((node.lineno, name))
-        elif method and name in NUMPY_READERS and ast.unparse(node.func.value) in ("np", "numpy"):
-            found.append((node.lineno, ast.unparse(node.func)))
-        elif name == "open":
-            positional = node.args[0 if method else 1:]
-            modes = [kw.value for kw in node.keywords if kw.arg == "mode"] or positional[:1]
-            mode = modes[0] if modes else None
-            literal = isinstance(mode, ast.Constant) and isinstance(mode.value, str)
-            if not literal or not set(mode.value) & set("wax"):
-                found.append((node.lineno, f"open({'' if mode is None else ast.unparse(mode)})"))
-    return [f"line {line}: {text}" for line, text in sorted(found)]
-
-
-@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "matio.py"],
-                         ids=lambda p: p.name)
-def test_only_matio_reads_files(path):
-    assert file_reads(path.read_text()) == []
-
-
-def test_a_file_read_outside_matio_is_reported():
-    source = (
-        "import numpy as np\n"
-        "from pathlib import Path\n"
-        "def f(path, mode, rng):\n"
-        "    with open(path, 'w') as fh, Path(path).open(mode='ab') as log:\n"
-        "        rng.load(path)\n"
-        "    with open(path) as fh, open(path, 'rb') as raw, Path(path).open('r+') as both:\n"
-        "        pass\n"
-        "    open(path, mode)\n"
-        "    Path(path).read_text()\n"
-        "    Path(path).read_bytes()\n"
-        "    np.load(path), np.loadtxt(path), np.fromfile(path), np.genfromtxt(path)\n"
-        "    return Path(path).write_text('')\n"
-    )
-    assert file_reads(source) == [
-        "line 6: open('r+')", "line 6: open('rb')", "line 6: open()", "line 8: open(mode)",
-        "line 9: read_text", "line 10: read_bytes", "line 11: np.fromfile", "line 11: np.genfromtxt",
-        "line 11: np.load", "line 11: np.loadtxt",
-    ]
-
-
 def own_nodes(func):
     """The nodes of a function's body, leaving out those of nested functions."""
     for child in ast.iter_child_nodes(func):
@@ -478,43 +223,215 @@ def test_a_borrowed_freeze_is_reported():
     ]
 
 
-def philox_and_threading(source: str) -> list[str]:
-    """Each `Philox` named as an attribute, a bare name or an imported name,
-    and each import of `threading` or a `threading.` submodule."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Attribute) and node.attr == "Philox":
-            found.append((node.lineno, ast.unparse(node)))
-        elif isinstance(node, ast.Name) and node.id == "Philox":
-            found.append((node.lineno, node.id))
-        elif isinstance(node, ast.Import):
-            found += [(node.lineno, alias.name) for alias in node.names
-                      if alias.name.split(".")[0] == "threading"]
-        elif isinstance(node, ast.ImportFrom):
-            if node.level == 0 and node.module.split(".")[0] == "threading":
-                found.append((node.lineno, node.module))
-            found += [(node.lineno, f"{node.module}.Philox") for alias in node.names if alias.name == "Philox"]
-    return [f"line {line}: {text}" for line, text in sorted(found)]
+# rule -> the modules, or `module function`s, that may hold a fact of it
+OWNERS = {
+    "linalg.norm": ("vectors.py",),  # so every norm follows the one rule there
+    "raise NonFiniteInput": ("vectors.py",),  # so every finiteness check is its one validator's
+    "import scipy": ("entropy.py variance_band",),  # so every other path starts on numpy alone
+    "import json": ("cli.py",),  # so every artifact is written under the CLI's one JSON rule
+    "file write": ("cli.py", "matio.py"),  # ... and its one CSV rule
+    "file read": ("matio.py",),  # so every input goes through its line and exact-payload readers
+    "Philox": ("seeding.py",),  # so every stream is keyed by its one seed rule
+    "import threading": ("seeding.py",),  # ... and re-keyed by its one per-thread generator
+    "print": ("cli.py",),  # so the library is quiet by default
+}
+IMPORT_RULES = {"scipy", "json", "threading"}  # `import X` is an import of X or a submodule
+NUMPY_READERS = {"load", "loadtxt", "fromfile", "genfromtxt"}
+NUMPY_WRITERS = {"save", "savez", "savez_compressed", "savetxt"}  # and any array's `.tofile`
 
 
-@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "seeding.py"],
-                         ids=lambda p: p.name)
-def test_only_seeding_keys_philox_streams(path):
-    assert philox_and_threading(path.read_text()) == []
+def call_facts(node: ast.Call):
+    """(rule, text) of each fact of a call. An `open` writes a file if its mode
+    holds a w, a or x, else reads it; the mode is the `mode` keyword, else the
+    second argument of `open(path, mode)` or the first of `Path.open(mode)`,
+    and one that is not a string literal counts as both."""
+    method = isinstance(node.func, ast.Attribute)
+    name = node.func.attr if method else getattr(node.func, "id", None)
+    func = ast.unparse(node.func)
+    numpy = method and ast.unparse(node.func.value) in ("np", "numpy")
+    if func.endswith("linalg.norm"):
+        yield "linalg.norm", func
+    elif name in ("write_text", "write_bytes"):
+        yield "file write", name
+    elif name in ("read_text", "read_bytes"):
+        yield "file read", name
+    elif numpy and name in NUMPY_READERS:
+        yield "file read", func
+    elif numpy and name in NUMPY_WRITERS or method and name == "tofile":
+        yield "file write", func
+    elif name == "open":
+        mode = ([kw.value for kw in node.keywords if kw.arg == "mode"] or node.args[0 if method else 1:])[:1]
+        if not mode or isinstance(mode[0], ast.Constant) and isinstance(mode[0].value, str):
+            kinds = ["write" if mode and set(mode[0].value) & set("wax") else "read"]
+        else:
+            kinds = ["read", "write"]
+        yield from ((f"file {kind}", f"open({ast.unparse(mode[0]) if mode else ''})") for kind in kinds)
+    elif name == "print" and not method:
+        yield "print", name
 
 
-def test_a_philox_or_thread_outside_seeding_is_reported():
-    source = (
-        "import numpy as np\n"
-        "import threading\n"
-        "from numpy.random import Philox, PCG64\n"
-        "from .seeding import job_rng\n"
-        "def f(seed):\n"
-        "    from threading import local\n"
-        "    gen = np.random.Generator(np.random.Philox(key=seed))\n"
-        "    return gen, Philox(seed), local(), job_rng(seed), np.random.default_rng(seed)\n"
-    )
-    assert philox_and_threading(source) == [
-        "line 2: threading", "line 3: numpy.random.Philox", "line 6: threading",
-        "line 7: np.random.Philox", "line 8: Philox",
-    ]
+def node_facts(node: ast.AST):
+    """(rule, text) of each fact of a node: a call's, a `raise` of NonFiniteInput, `Philox`
+    as an attribute, name or import, an IMPORT_RULES import and `norm` from a `linalg`."""
+    if isinstance(node, ast.Call):
+        yield from call_facts(node)
+    elif isinstance(node, ast.Raise) and node.exc is not None:
+        target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        if (target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)) == "NonFiniteInput":
+            yield "raise NonFiniteInput", ast.unparse(target)
+    elif isinstance(node, ast.Attribute) and node.attr == "Philox":
+        yield "Philox", ast.unparse(node)
+    elif isinstance(node, ast.Name) and node.id == "Philox":
+        yield "Philox", node.id
+    elif isinstance(node, ast.Import):
+        yield from ((f"import {a.name.split('.')[0]}", a.name) for a in node.names
+                    if a.name.split(".")[0] in IMPORT_RULES)
+    elif isinstance(node, ast.ImportFrom):
+        if node.level == 0 and node.module.split(".")[0] in IMPORT_RULES:
+            yield f"import {node.module.split('.')[0]}", node.module
+        for alias in node.names:
+            if alias.name == "norm" and (node.module or "").endswith("linalg"):
+                yield "linalg.norm", f"{node.module}.norm"
+            elif alias.name == "Philox":
+                yield "Philox", f"{node.module}.Philox"
+
+
+def facts(source: str):
+    """(rule, where, line, text) of each fact of a module, in one walk; where
+    is the enclosing (dotted) function or class name, or `<module>`."""
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from visit(child, child.name if where == "<module>" else f"{where}.{child.name}")
+                continue
+            yield from ((rule, where, child.lineno, text) for rule, text in node_facts(child))
+            yield from visit(child, where)
+    return visit(ast.parse(source), "<module>")
+
+
+def breaches(source: str, *rules: str, module: str = "") -> list[str]:
+    """`line N: text` of each fact of rules in module's source outside the rule's owners."""
+    found = sorted((line, text) for rule, where, line, text in facts(source) if rule in rules
+                   and module not in OWNERS[rule] and f"{module} {where}" not in OWNERS[rule])
+    return [f"line {line}: {text}" for line, text in found]
+
+
+def owners_only(*rules: str):
+    """A test, one id per module not owning all of rules, that it holds no fact of them outside their owners."""
+    @pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py"))
+                                      if any(p.name not in OWNERS[rule] for rule in rules)],
+                             ids=lambda p: p.name)
+    def test(path):
+        assert breaches(path.read_text(), *rules, module=path.name) == []
+    return test
+
+
+test_norms_come_from_vectors = owners_only("linalg.norm")
+test_only_vectors_raises_nonfinite_input = owners_only("raise NonFiniteInput")
+test_only_the_cli_imports_json = owners_only("import json")
+test_only_the_cli_and_matio_write_files = owners_only("file write")
+test_only_matio_reads_files = owners_only("file read")
+test_only_seeding_keys_philox_streams = owners_only("Philox", "import threading")
+test_only_the_cli_prints = owners_only("print")
+
+
+def test_scipy_is_imported_only_by_variance_band():
+    found = [f"{path.name} {where}: {text}" for path in sorted(PACKAGE.glob("*.py"))
+             for rule, where, _, text in facts(path.read_text()) if rule == "import scipy"]
+    assert found == ["entropy.py variance_band: scipy.stats"]
+
+
+# one module that breaks every rule, each rule's cases in a function of its own
+SNIPPET = (
+    "import numpy as np\n"
+    "import json\n"
+    "import jsonschema\n"
+    "import scipy\n"
+    "import scipyx\n"
+    "import threading\n"
+    "from pathlib import Path\n"
+    "from numpy.linalg import norm, qr\n"
+    "from numpy.random import Philox, PCG64\n"
+    "from . import errors\n"
+    "from .errors import InvalidArgument, NonFiniteInput\n"
+    "from .json import dumps\n"
+    "from .scipy import betainc\n"
+    "from .seeding import job_rng\n"
+    "from .vectors import _unit_rows\n"
+    "def norms(m):\n"
+    "    return np.linalg.norm(m, axis=1) + _unit_rows(m)[1] + np.dot(m, m)\n"
+    "def finite(x):\n"
+    "    if not np.isfinite(x).all():\n"
+    "        raise NonFiniteInput('x contains NaN or Inf')\n"
+    "    if x.size == 0:\n"
+    "        raise InvalidArgument('empty') from None\n"
+    "    raise errors.NonFiniteInput\n"
+    "def pvalue(x):\n"
+    "    from scipy.special import betainc\n"
+    "class Fit:\n"
+    "    def band(self):\n"
+    "        import numpy as np, scipy.stats as st\n"
+    "def variance_band():\n"
+    "    from scipy import stats\n"
+    "def dump(doc):\n"
+    "    from json.decoder import JSONDecodeError\n"
+    "    import numpy as np, json as js\n"
+    "def files(path, text, mode, rng):\n"
+    "    with open(path) as fh, open(path, 'rb') as raw, Path(path).open() as again:\n"
+    "        rng.load(path)\n"
+    "    with open(path, 'w') as fh, open(path, mode='ab') as log, Path(path).open('r+') as both:\n"
+    "        Path(path).open('x'), Path(path).open(mode='ab')\n"
+    "    open(path, mode)\n"
+    "    Path(path).write_text(text), Path(path).write_bytes(b'')\n"
+    "    Path(path).read_text(), Path(path).read_bytes()\n"
+    "    np.load(path), np.loadtxt(path), np.fromfile(path), np.genfromtxt(path)\n"
+    "def streams(seed):\n"
+    "    from threading import local\n"
+    "    gen = np.random.Generator(np.random.Philox(key=seed))\n"
+    "    return gen, Philox(seed), local(), job_rng(seed), np.random.default_rng(seed)\n"
+    "def arrays(path, x, rng):\n"
+    "    np.save(path, x), np.savez(path, x), np.savez_compressed(path, x), np.savetxt(path, x)\n"
+    "    x.tofile(path), rng.save(path)\n"
+    "def report(x, log):\n"
+    "    print(x), log.print(x)\n"
+)
+# rule -> its facts in SNIPPET, where no owner holds them
+SNIPPET_BREACHES = {
+    "linalg.norm": ["line 8: numpy.linalg.norm", "line 17: np.linalg.norm"],
+    "raise NonFiniteInput": ["line 20: NonFiniteInput", "line 23: errors.NonFiniteInput"],
+    "import json": ["line 2: json", "line 32: json.decoder", "line 33: json"],
+    "file write": ["line 37: open('ab')", "line 37: open('w')", "line 38: open('ab')", "line 38: open('x')",
+                   "line 39: open(mode)", "line 40: write_bytes", "line 40: write_text", "line 48: np.save",
+                   "line 48: np.savetxt", "line 48: np.savez", "line 48: np.savez_compressed",
+                   "line 49: x.tofile"],
+    "file read": ["line 35: open('rb')", "line 35: open()", "line 35: open()", "line 37: open('r+')",
+                  "line 39: open(mode)", "line 41: read_bytes", "line 41: read_text", "line 42: np.fromfile",
+                  "line 42: np.genfromtxt", "line 42: np.load", "line 42: np.loadtxt"],
+    "Philox": ["line 9: numpy.random.Philox", "line 45: np.random.Philox", "line 46: Philox"],
+    "import threading": ["line 6: threading", "line 44: threading"],
+    "print": ["line 51: print"],
+}
+
+
+def reported(*rules: str):
+    """A test that SNIPPET breaks each of rules exactly as SNIPPET_BREACHES says."""
+    def test():
+        assert [breaches(SNIPPET, rule) for rule in rules] == [SNIPPET_BREACHES[rule] for rule in rules]
+    return test
+
+
+test_a_norm_outside_vectors_is_reported = reported("linalg.norm")
+test_a_nonfinite_raise_outside_vectors_is_reported = reported("raise NonFiniteInput")
+test_a_json_import_outside_the_cli_is_reported = reported("import json")
+test_a_file_write_outside_the_cli_is_reported = reported("file write")
+test_a_file_read_outside_matio_is_reported = reported("file read")
+test_a_philox_or_thread_outside_seeding_is_reported = reported("Philox", "import threading")
+test_a_print_outside_the_cli_is_reported = reported("print")
+
+
+def test_a_scipy_import_elsewhere_is_reported():
+    found = [f"{where}: {text}" for rule, where, _, text in facts(SNIPPET) if rule == "import scipy"]
+    assert found == ["<module>: scipy", "pvalue: scipy.special", "Fit.band: scipy.stats", "variance_band: scipy"]
+    # in entropy.py, all but variance_band's
+    assert breaches(SNIPPET, "import scipy", module="entropy.py") == [
+        "line 4: scipy", "line 25: scipy.special", "line 28: scipy.stats"]
